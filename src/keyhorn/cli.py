@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -218,19 +217,6 @@ def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
-def _read_threads_cap() -> int:
-    raw = os.environ.get("KEYHORN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"KEYHORN_THREADS must be an integer >= 1, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"KEYHORN_THREADS must be an integer >= 1, got {raw!r}")
-    return cap  # current implementation stays single-threaded under any cap
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -275,7 +261,6 @@ def _forced_result(
 
 
 def cmd_minimize(args) -> int:
-    _read_threads_cap()
     text = _read_file(args.infile)
     n, raw = parse_bodies(text)
     measures = _measure_list(args.measure)
@@ -727,6 +712,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         OSError,
     ) as exc:
         print(f"keyhorn: error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # last resort: no known input gets here, and none may end in a traceback
+        what = "out of memory" if isinstance(exc, MemoryError) else "recursion limit exceeded"
+        print(f"keyhorn: error: {what}; the input is too large for this command", file=sys.stderr)
         return 2
 
 

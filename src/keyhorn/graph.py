@@ -215,144 +215,171 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
 
 
 # ---------------------------------------------------------------------------
-# Minimum spanning in-arborescence (Edmonds/Chu-Liu via cycle contraction)
+# Minimum spanning arborescence (Edmonds/Chu-Liu via cycle contraction)
 # ---------------------------------------------------------------------------
 
-# Arcs are tuples (u, v, w, base) where base is the pre-contraction arc the
-# tuple stands for, or None at the outermost level.
+# ``_min_arborescence`` is the one routine behind the rooted, unrooted and
+# out-arborescence cases.  It contracts level by level, without recursion,
+# on dense per-head columns of the current level only, and five rules fix
+# its choices (the tie-break contract the reports rely on):
+#
+# 1. Each head takes its minimum in-arc, ties to the smallest tail id.  The
+#    original nodes keep their ids; supernodes get ids after them in the
+#    order they are created.
+# 2. All cycles of a level contract at once.  They are numbered in discovery
+#    order, walking the chosen arcs from each head in turn, the heads sorted
+#    by (contains original node 0, smallest original member): by smallest
+#    original member, the head holding node 0 last.
+# 3. Parallel arcs of the next level merge to the least reduced weight, ties
+#    to the smallest (tail id, head id) of the level below.
+# 4. An arc into a contracted member is reduced by that member's chosen
+#    weight.
+# 5. Expansion enters a supernode at the member holding the original head of
+#    the arc chosen into it; every other member keeps its own choice.
+#
+# A level costs O(k^2) for k current nodes, and the unrooted and
+# out-arborescence cases can need about m levels, so a call is O(m^3) in the
+# worst case.  Tarjan's O(m^2) branching breaks ties differently and would
+# change which arborescence is chosen, and with it the reports.
 
 
-def _all_cycles(pred: dict[int, int], root: int) -> list[list[int]]:
-    """Every cycle of the chosen-arc functional graph (they are disjoint)."""
-    color: dict[int, int] = {}
-    cycles = []
-    for start in pred:
-        if start in color:
-            continue
-        path = []
-        x = start
-        while x != root and x not in color:
-            color[x] = 1  # open
-            path.append(x)
-            x = pred[x]
-        if color.get(x) == 1:
-            cycles.append(path[path.index(x):])
-        for y in path:
-            color[y] = 2  # done
-    return cycles
+def _min_arborescence(cols, root: int) -> list[int]:
+    """Minimum spanning out-arborescence from ``root`` of a complete digraph
+    on ``len(cols)`` nodes, chosen by the five rules above.
 
-
-def _edmonds(nodes: list[int], arcs: list[tuple], root: int, next_id: int) -> dict[int, tuple]:
-    """Minimum spanning out-arborescence rooted at ``root``; returns the
-    chosen in-arc per non-root node.
-
-    Cycle contraction with all disjoint cycles collapsed per round, so the
-    recursion depth stays small even on tie-heavy uniform graphs.  Ties go
-    to the smaller tail, then head, so the result is deterministic.
+    ``cols[h][t]`` is the weight of arc t -> h; ``cols[root]`` and the
+    diagonal are ignored.  Returns the parent (the tail of the chosen in-arc)
+    of every node, -1 for the root.
     """
-    best: dict[int, tuple] = {}
-    for a in arcs:
-        v = a[1]
-        if v == root:
-            continue
-        b = best.get(v)
-        if b is None:
-            best[v] = a
-        else:
-            w, bw = a[2], b[2]
-            if w < bw or (w == bw and a[0] < b[0]):
-                best[v] = a
-    for v in nodes:
-        if v != root and v not in best:
-            raise ValueError(f"node {v} has no incoming arc")
-    cycles = _all_cycles({v: a[0] for v, a in best.items()}, root)
-    if not cycles:
-        return dict(best)
+    n = len(cols)
+    inf = float("inf")
+    # Per position of the current level, in ascending node id: the node id,
+    # its smallest original member, and its in-column: w[p][q] is the weight
+    # of the arc from position q (inf for q == p) and orig[p][q] the original
+    # arc behind it, as tail * n + head.  The root has no column.
+    ids = list(range(n))
+    low = list(range(n))
+    w: list = [None] * n
+    orig: list = [None] * n
+    for h, col in enumerate(cols):
+        if h != root:
+            w[h] = col = list(col)
+            col[h] = inf
+            orig[h] = list(range(h, n * n, n))
+    up = [-1] * (2 * n)  # node id -> the supernode it was contracted into
+    members: list[list[tuple[int, int]]] = []  # per supernode: (member, own arc)
 
-    rep = {}
-    for cyc in cycles:
-        for x in cyc:
-            rep[x] = next_id
-        next_id += 1
-    contracted = set(rep)
-    sub: dict[tuple[int, int], tuple] = {}
-    for a in arcs:
-        u, v = a[0], a[1]
-        u2 = rep.get(u, u)
-        v2 = rep.get(v, v)
-        if u2 == v2:
-            continue
-        w2 = a[2] - best[v][2] if v in contracted else a[2]
-        key = (u2, v2)
-        old = sub.get(key)
-        if old is None:
-            sub[key] = (u2, v2, w2, a)
-        else:
-            ow = old[2]
-            if w2 < ow or (
-                w2 == ow and (u, v) < (old[3][0], old[3][1])
-            ):
-                sub[key] = (u2, v2, w2, a)
-    new_nodes = [x for x in nodes if x not in contracted]
-    new_nodes.extend(range(next_id - len(cycles), next_id))
-    solved = _edmonds(new_nodes, list(sub.values()), root, next_id)
+    while True:
+        k = len(ids)
+        rp = ids.index(root)
+        pred = [rp] * k
+        bw = [0] * k
+        for p in range(k):
+            if p != rp:
+                col = w[p]
+                bw[p] = x = min(col)
+                pred[p] = col.index(x)
 
-    parents: dict[int, tuple] = {}
-    entries: dict[int, tuple] = {}  # contracted id -> arc entering its cycle
-    for a2 in solved.values():
-        a = a2[3]
-        if a[1] in contracted:
-            entries[rep[a[1]]] = a
-        else:
-            parents[a[1]] = a
-    for cyc in cycles:
-        entry = entries[rep[cyc[0]]]
-        for x in cyc:
-            if x != entry[1]:
-                parents[x] = best[x]
-        parents[entry[1]] = entry
-    return parents
+        color = [0] * k  # 1 on the current walk, 2 done
+        color[rp] = 2
+        cycles = []
+        for x in sorted(range(k), key=lambda p: low[p] or n):
+            path = []
+            while not color[x]:
+                color[x] = 1
+                path.append(x)
+                x = pred[x]
+            if color[x] == 1:
+                cycles.append(sorted(path[path.index(x):]))
+            for y in path:
+                color[y] = 2
+        if not cycles:
+            break
+
+        # one merged in-column per cycle, reduced per member, over this level
+        for cyc in cycles:
+            s = n + len(members)
+            members.append([(ids[p], orig[p][pred[p]]) for p in cyc])
+            b = bw[cyc[0]]
+            mw = [x - b for x in w[cyc[0]]]
+            mo = list(orig[cyc[0]])
+            for v in cyc[1:]:
+                b, col, oc = bw[v], w[v], orig[v]
+                for q in range(k):
+                    x = col[q] - b
+                    if x < mw[q]:
+                        mw[q] = x
+                        mo[q] = oc[q]
+            for p in cyc:
+                up[ids[p]] = s
+            ids.append(s)
+            low.append(min(low[p] for p in cyc))
+            w.append(mw)
+            orig.append(mo)
+
+        # every column gains one entry per supernode and loses the members
+        c = len(cycles)
+        gone = sorted((p for cyc in cycles for p in cyc), reverse=True)
+        for p in gone:
+            del w[p], orig[p], ids[p], low[p]
+        for p, (col, oc) in enumerate(zip(w, orig)):
+            if col is None:
+                continue
+            own = p - (len(w) - c)  # this column's own cycle, if it is new
+            for j, cyc in enumerate(cycles):
+                best = inf
+                bq = cyc[0]
+                if j != own:
+                    for q in cyc:
+                        if col[q] < best:
+                            best = col[q]
+                            bq = q
+                col.append(best)
+                oc.append(oc[bq])
+            for q in gone:
+                del col[q], oc[q]
+
+    parent = [-1] * n
+    stack = [(ids[p], orig[p][pred[p]]) for p in range(len(ids)) if p != rp]
+    while stack:
+        x, a = stack.pop()
+        if x < n:
+            parent[x] = a // n
+            continue
+        y = a % n
+        while up[y] != x:
+            y = up[y]
+        for mem, own in members[x - n]:
+            stack.append((mem, a if mem == y else own))
+    return parent
 
 
 def _rooted_in_arborescence(g: BodyGraph, root: int) -> InArborescence:
     # an in-arborescence toward root is an out-arborescence from root in the
-    # reversed graph; the reversed parent of x is exactly succ(x)
-    m = g.m
-    arcs = [
-        (u, v, g.weight[v][u], None)
-        for u in range(m)
-        for v in range(m)
-        if u != v
-    ]
-    parents = _edmonds(list(range(m)), arcs, root, m)
-    succ = {v: a[0] for v, a in sorted(parents.items())}
-    return InArborescence(root, succ)
+    # reversed graph, whose in-columns are the rows of g; the reversed parent
+    # of x is exactly succ(x)
+    parent = _min_arborescence(g.weight, root)
+    return InArborescence(root, {x: t for x, t in enumerate(parent) if x != root})
 
 
 def _min_out_parents(g: BodyGraph, root: int) -> dict[int, int]:
-    m = g.m
-    arcs = [(u, v, g.weight[u][v], None) for u in range(m) for v in range(m) if u != v]
-    parents = _edmonds(list(range(m)), arcs, root, m)
-    return {v: a[0] for v, a in parents.items()}
+    parent = _min_arborescence(list(zip(*g.weight)), root)
+    return {x: t for x, t in enumerate(parent) if x != root}
 
 
 def _best_unrooted_root(g: BodyGraph) -> int:
     """Root minimizing the rooted in-arborescence weight, smallest index on
-    ties.  One augmented run: real weights are scaled so a virtual-root arc's
-    index term acts as the tie-break."""
+    ties.  One augmented run: a virtual root m gets an arc into every node,
+    and real weights are scaled so a virtual arc's index term acts as the
+    tie-break."""
     m = g.m
     scale = m + 1
     total = sum(w for row in g.weight for w in row)
     big = scale * total + m + 1
-    arcs = [
-        (u, v, scale * g.weight[v][u], None)
-        for u in range(m)
-        for v in range(m)
-        if u != v
-    ]
-    arcs.extend((m, v, big + v, None) for v in range(m))
-    parents = _edmonds(list(range(m + 1)), arcs, m, m + 1)
-    roots = [v for v, a in parents.items() if a[0] == m]
+    cols = [[scale * w for w in row] + [big + v] for v, row in enumerate(g.weight)]
+    cols.append(None)
+    parent = _min_arborescence(cols, m)
+    roots = [v for v in range(m) if parent[v] == m]
     assert len(roots) == 1, "exactly one virtual arc must be selected"
     return roots[0]
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from keyhorn import HornCNF, VarSet
+from keyhorn import HornCNF, VarSet, cli
 from keyhorn.cli import (
     ParseError,
     main,
@@ -157,14 +157,6 @@ class TestMinimizeCommand:
         assert report["results"]["C"]["size"] == 1
         assert all(blk["strategy"] == "exact" for blk in report["results"].values())
 
-    def test_threads_env_validated(self, tri_file, capsys, monkeypatch):
-        monkeypatch.setenv("KEYHORN_THREADS", "0")
-        rc = main(["minimize", "--in", tri_file, "--measure", "B"])
-        assert rc == 2
-        monkeypatch.setenv("KEYHORN_THREADS", "4")
-        rc = main(["minimize", "--in", tri_file, "--measure", "B"])
-        assert rc == 0
-
     def test_uncovered_variable_lift(self, tmp_path, capsys):
         p = tmp_path / "gap.bodies"
         p.write_text("p keyhorn 4 2\n1 2\n1 3\n")
@@ -204,6 +196,17 @@ class TestOtherCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["lower_bounds"]["L"] == 9
         assert report["lower_bounds"]["C_partition"] == 3
+
+    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    def test_resource_errors_exit_2_in_one_line(self, tri_file, capsys, monkeypatch, exc):
+        def boom(args):
+            raise exc()
+
+        monkeypatch.setattr(cli, "cmd_bounds", boom)
+        assert main(["bounds", "--in", tri_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("keyhorn: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_price_command(self, tmp_path, capsys):
         p = tmp_path / "four.bodies"

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from keyhorn import (
     body_graph_c,
     body_graph_l,
     forward_chain,
+    gen_projective,
     lambda_formula,
     measure_size,
     min_in_arborescence,
@@ -18,7 +20,7 @@ from keyhorn import (
     price_c,
     shortest_path,
 )
-from keyhorn.graph import BodyGraph
+from keyhorn.graph import BodyGraph, _min_out_parents
 
 from helpers import (
     brute_min_in_arborescence,
@@ -26,6 +28,9 @@ from helpers import (
     is_strongly_connected,
     random_instances,
     random_weight_matrix,
+    ref_best_unrooted_root,
+    ref_out_parents,
+    ref_rooted_in_succ,
 )
 
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
@@ -195,6 +200,47 @@ class TestMinInArborescence:
             # smallest root index among optimal roots
             per_root = [brute_min_in_arborescence(w, r)[0] for r in range(m)]
             assert arb.root == min(r for r in range(m) if per_root[r] == best)
+
+
+def assert_same_choices_as_reference(g: BodyGraph, roots) -> None:
+    w = g.weight
+    for r in roots:
+        assert min_in_arborescence(g, root=r).succ == ref_rooted_in_succ(w, r)
+        assert _min_out_parents(g, r) == ref_out_parents(w, r)
+    assert min_in_arborescence(g).root == ref_best_unrooted_root(w)
+
+
+class TestArborescenceMatchesReference:
+    """The iterative routine makes the recursive reference's choices, not
+    just its weights: same parent maps, same unrooted root."""
+
+    def test_tie_heavy_random_graphs(self):
+        rng = random.Random(15)
+        for i in range(2000):
+            m = 2 + i % 9
+            g = graph_of(random_weight_matrix(rng, m, hi=(1, 2, 3, 6)[i // 9 % 4]))
+            assert_same_choices_as_reference(g, range(m))
+
+    def test_projective_d3(self):
+        p = gen_projective(3)
+        g = body_graph_c(KeyHornInstance(p.n, p.bodies))
+        assert_same_choices_as_reference(g, range(g.m))
+
+    def test_no_recursion_at_m_200(self):
+        inst = random_instances(1, 1500, n_range=(300, 300), m_range=(200, 200), k_range=(20, 20))[0]
+        g = body_graph_c(inst)
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            arb = min_in_arborescence(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        arb.validate(g.m)
 
 
 class TestMwscs:
