@@ -11,7 +11,7 @@ term of the guarantees constructively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,6 +19,7 @@ from .core import (
     ClauseGroup,
     HornCNF,
     KeyHornInstance,
+    MEASURES,
     Measure,
     measure_size,
     verify_representation,
@@ -29,15 +30,6 @@ STRATEGY_EXACT = "exact"
 STRATEGY_HAMILTONIAN = "hamiltonian"
 STRATEGY_PROCEDURE1 = "procedure1"
 STRATEGY_PROCEDURE2 = "procedure2"
-STRATEGY_BEST_OF = "best_of"
-
-STRATEGIES = (
-    STRATEGY_EXACT,
-    STRATEGY_HAMILTONIAN,
-    STRATEGY_PROCEDURE1,
-    STRATEGY_PROCEDURE2,
-    STRATEGY_BEST_OF,
-)
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,8 @@ def lower_bound(inst: KeyHornInstance, mu: Measure) -> int:
 
     Every representation uses all m minimal bodies; every variable must be
     the head of some clause (so at least n clauses); each such clause has a
-    body of size at least delta and at least two literals.
+    body of size at least delta and at least two literals.  The clause
+    count also takes the partition bound (a normalized family has m >= 2).
     """
     _require_normalized(inst)
     n, m, delta = inst.n, inst.m, inst.delta
@@ -92,7 +85,7 @@ def lower_bound(inst: KeyHornInstance, mu: Measure) -> int:
     if mu is Measure.TA:
         return max(m, n, sum_bodies)
     if mu is Measure.C:
-        return max(m, n)
+        return max(m, n, lower_bound_partition_c(inst))
     if mu is Measure.BC:
         return m + n
     if mu is Measure.L:
@@ -149,24 +142,24 @@ def hamiltonian_formula(inst: KeyHornInstance, order: Optional[Sequence[int]] = 
     return _verified(HornCNF(inst.n, groups), inst)
 
 
-def minimize_b_ba(inst: KeyHornInstance, mu: Measure = Measure.B) -> MinimizationResult:
-    """Exact body-count / body-area minimization: any strongly connected
-    cycle formula uses each minimal body exactly once, which is optimal."""
-    if mu not in (Measure.B, Measure.BA):
-        raise ValueError(f"only the body measures are exact here, got {mu}")
-    _require_normalized(inst)
-    formula = hamiltonian_formula(inst)
-    size = measure_size(formula, mu)
-    lb = lower_bound(inst, mu)
-    assert size == lb, "cycle formula must meet the body-measure optimum"
-    return MinimizationResult(formula, mu, size, lb, Fraction(1), STRATEGY_EXACT)
+def _scored(
+    inst: KeyHornInstance, phi: HornCNF, mu: Measure, strategy: str, lb: int
+) -> MinimizationResult:
+    """A candidate as a ``mu`` result with its own guarantee: that is
+    ``guarantee_factor``, except that the cycle only guarantees k for C, BC
+    and L, whose factors rest on the arborescence constructions."""
+    if strategy == STRATEGY_HAMILTONIAN and mu not in (Measure.B, Measure.BA, Measure.TA):
+        guarantee = Fraction(inst.k)
+    else:
+        guarantee = guarantee_factor(inst, mu)
+    return MinimizationResult(phi, mu, measure_size(phi, mu), lb, guarantee, strategy)
 
 
 def procedure1(inst: KeyHornInstance, mu: Measure = Measure.C) -> MinimizationResult:
     """Clause-count minimizer: a minimum clause-cost spanning in-arborescence
     routes every body's chaining to a root body, which then implies the rest
     of the universe directly."""
-    if mu not in (Measure.C, Measure.BC):
+    if mu not in STRATEGY_TARGETS[STRATEGY_PROCEDURE1]:
         raise ValueError(f"arborescence construction covers C and BC, got {mu}")
     _require_normalized(inst)
     g = body_graph_c(inst)
@@ -178,15 +171,7 @@ def procedure1(inst: KeyHornInstance, mu: Measure = Measure.C) -> MinimizationRe
     root_body = bodies[arb.root]
     groups.append(ClauseGroup(root_body, root_body.complement()))
     formula = _verified(HornCNF(inst.n, groups), inst)
-    lb = max(lower_bound(inst, mu), _extra_bound(inst, mu))
-    return MinimizationResult(
-        formula,
-        mu,
-        measure_size(formula, mu),
-        lb,
-        guarantee_factor(inst, mu),
-        STRATEGY_PROCEDURE1,
-    )
+    return _scored(inst, formula, mu, STRATEGY_PROCEDURE1, lower_bound(inst, mu))
 
 
 def procedure2(inst: KeyHornInstance) -> MinimizationResult:
@@ -204,126 +189,71 @@ def procedure2(inst: KeyHornInstance) -> MinimizationResult:
     root_body = bodies[root]
     groups.append(ClauseGroup(root_body, root_body.complement()))
     formula = _verified(HornCNF(inst.n, groups), inst)
-    return MinimizationResult(
-        formula,
-        Measure.L,
-        measure_size(formula, Measure.L),
-        lower_bound(inst, Measure.L),
-        guarantee_factor(inst, Measure.L),
-        STRATEGY_PROCEDURE2,
-    )
+    return _scored(inst, formula, Measure.L, STRATEGY_PROCEDURE2, lower_bound(inst, Measure.L))
 
 
-def _extra_bound(inst: KeyHornInstance, mu: Measure) -> int:
-    if mu is Measure.C and inst.m >= 2:
-        return lower_bound_partition_c(inst)
-    return 0
+# the measures each candidate is built for; the cycle represents all six
+STRATEGY_TARGETS = {
+    STRATEGY_HAMILTONIAN: MEASURES,
+    STRATEGY_PROCEDURE1: (Measure.C, Measure.BC),
+    STRATEGY_PROCEDURE2: (Measure.L,),
+}
+
+# the constructions are looked up by name at call time, so a rebinding of
+# them (as by the benchmark's span tracer) is seen
+_BUILD = {
+    STRATEGY_HAMILTONIAN: lambda inst: hamiltonian_formula(inst),
+    STRATEGY_PROCEDURE1: lambda inst: procedure1(inst).formula,
+    STRATEGY_PROCEDURE2: lambda inst: procedure2(inst).formula,
+}
 
 
-def _hamiltonian_result(inst: KeyHornInstance, mu: Measure) -> MinimizationResult:
-    formula = hamiltonian_formula(inst)
-    if mu in (Measure.B, Measure.BA):
-        guarantee = Fraction(1)
-    elif mu is Measure.TA:
-        guarantee = Fraction(2)
-    else:
-        guarantee = Fraction(inst.k)
-    lb = max(lower_bound(inst, mu), _extra_bound(inst, mu))
-    return MinimizationResult(
-        formula, mu, measure_size(formula, mu), lb, guarantee, STRATEGY_HAMILTONIAN
-    )
+class CandidateTable:
+    """The candidates of one normalized instance (the Hamiltonian cycle and
+    Procedures 1 and 2), each built and verified on first use and shared by
+    every measure, as are the lower bounds."""
+
+    def __init__(self, inst: KeyHornInstance):
+        _require_normalized(inst)
+        self.inst = inst
+        self._formulas: dict[str, HornCNF] = {}
+        self._bounds: dict[Measure, int] = {}
+
+    def score(self, strategy: str, mu: Measure) -> MinimizationResult:
+        """One candidate as a ``mu`` result with its own guarantee."""
+        if mu not in STRATEGY_TARGETS[strategy]:
+            raise ValueError(f"{strategy} does not construct a {mu} representation")
+        if strategy not in self._formulas:
+            self._formulas[strategy] = _BUILD[strategy](self.inst)
+        if mu not in self._bounds:
+            self._bounds[mu] = lower_bound(self.inst, mu)
+        return _scored(self.inst, self._formulas[strategy], mu, strategy, self._bounds[mu])
+
+    def best(self, mu: Measure) -> MinimizationResult:
+        """B/BA are exact and TA is 2-approximate with the cycle; C/BC and L
+        take the smaller of their arborescence construction and the cycle,
+        ties to the construction, which realizes the ``min{..., k}`` term."""
+        if mu in (Measure.B, Measure.BA, Measure.TA):
+            ham = self.score(STRATEGY_HAMILTONIAN, mu)
+            if mu is Measure.TA:
+                return ham
+            assert ham.size == ham.lower_bound, "cycle formula must meet the body-measure optimum"
+            return replace(ham, strategy=STRATEGY_EXACT)
+        main = self.score(STRATEGY_PROCEDURE2 if mu is Measure.L else STRATEGY_PROCEDURE1, mu)
+        ham = self.score(STRATEGY_HAMILTONIAN, mu)
+        winner = main if main.size <= ham.size else ham
+        return replace(winner, guarantee=guarantee_factor(self.inst, mu))
 
 
 def minimize(inst: KeyHornInstance, mu: Measure) -> MinimizationResult:
-    """Best available representation for one measure.
-
-    B/BA are exact; TA uses the Hamiltonian 2-approximation; C/BC take the
-    smaller of the arborescence and Hamiltonian candidates; L takes the
-    smaller of the rooted literal arborescence and Hamiltonian candidates.
-    Ties prefer the arborescence construction.
-    """
-    _require_normalized(inst)
-    if mu in (Measure.B, Measure.BA):
-        return minimize_b_ba(inst, mu)
-    if mu is Measure.TA:
-        return _hamiltonian_result(inst, mu)
-    if mu in (Measure.C, Measure.BC):
-        main = procedure1(inst, mu)
-    elif mu is Measure.L:
-        main = procedure2(inst)
-    else:
-        raise ValueError(f"unknown measure {mu!r}")
-    ham = _hamiltonian_result(inst, mu)
-    winner = main if main.size <= ham.size else ham
-    return MinimizationResult(
-        winner.formula,
-        mu,
-        winner.size,
-        winner.lower_bound,
-        guarantee_factor(inst, mu),
-        winner.strategy,
-    )
+    """Best available representation for one measure (see
+    :meth:`CandidateTable.best`); builds only the candidates ``mu`` needs."""
+    return CandidateTable(inst).best(mu)
 
 
 def minimize_all(inst: KeyHornInstance) -> dict[Measure, MinimizationResult]:
     """All six measures at once, sharing the candidate constructions (and
     their verifications) across measures.  Per-measure results are identical
     to calling ``minimize`` separately."""
-    _require_normalized(inst)
-    ham = hamiltonian_formula(inst)
-    p1 = procedure1(inst, Measure.C)
-    p2 = procedure2(inst)
-
-    def ham_result(mu: Measure) -> MinimizationResult:
-        if mu in (Measure.B, Measure.BA):
-            guarantee = Fraction(1)
-        elif mu is Measure.TA:
-            guarantee = Fraction(2)
-        else:
-            guarantee = Fraction(inst.k)
-        lb = max(lower_bound(inst, mu), _extra_bound(inst, mu))
-        return MinimizationResult(
-            ham, mu, measure_size(ham, mu), lb, guarantee, STRATEGY_HAMILTONIAN
-        )
-
-    out: dict[Measure, MinimizationResult] = {}
-    for mu in (Measure.B, Measure.BA):
-        res = ham_result(mu)
-        out[mu] = MinimizationResult(
-            ham, mu, res.size, res.lower_bound, Fraction(1), STRATEGY_EXACT
-        )
-    out[Measure.TA] = ham_result(Measure.TA)
-    for mu in (Measure.C, Measure.BC):
-        main_size = measure_size(p1.formula, mu)
-        hres = ham_result(mu)
-        if main_size <= hres.size:
-            out[mu] = MinimizationResult(
-                p1.formula,
-                mu,
-                main_size,
-                hres.lower_bound,
-                guarantee_factor(inst, mu),
-                STRATEGY_PROCEDURE1,
-            )
-        else:
-            out[mu] = MinimizationResult(
-                hres.formula,
-                mu,
-                hres.size,
-                hres.lower_bound,
-                guarantee_factor(inst, mu),
-                STRATEGY_HAMILTONIAN,
-            )
-    hres = ham_result(Measure.L)
-    if p2.size <= hres.size:
-        out[Measure.L] = p2
-    else:
-        out[Measure.L] = MinimizationResult(
-            hres.formula,
-            Measure.L,
-            hres.size,
-            hres.lower_bound,
-            guarantee_factor(inst, Measure.L),
-            STRATEGY_HAMILTONIAN,
-        )
-    return out
+    table = CandidateTable(inst)
+    return {mu: table.best(mu) for mu in MEASURES}

@@ -23,15 +23,13 @@ from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .approx import (
+    CandidateTable,
     MinimizationResult,
     STRATEGY_EXACT,
-    STRATEGY_HAMILTONIAN,
-    hamiltonian_formula,
+    STRATEGY_TARGETS,
     lower_bound,
     lower_bound_partition_c,
     minimize_all,
-    procedure1,
-    procedure2,
 )
 from .core import (
     HornCNF,
@@ -227,45 +225,18 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _measure_list(arg: str) -> list[Measure]:
-    if arg == "all":
-        return list(MEASURES)
-    return [Measure(arg)]
-
-
-def _forced_result(
-    inst: KeyHornInstance, mu: Measure, strategy: str
-) -> MinimizationResult:
-    if strategy == "hamiltonian":
-        formula = hamiltonian_formula(inst)
-        lb = lower_bound(inst, mu)
-        if mu is Measure.C and inst.m >= 2:
-            lb = max(lb, lower_bound_partition_c(inst))
-        guarantee = (
-            Fraction(1)
-            if mu in (Measure.B, Measure.BA)
-            else Fraction(2) if mu is Measure.TA else Fraction(inst.k)
-        )
-        return MinimizationResult(
-            formula, mu, measure_size(formula, mu), lb, guarantee, STRATEGY_HAMILTONIAN
-        )
-    if strategy == "procedure1":
-        if mu not in (Measure.C, Measure.BC):
-            raise ValueError("--strategy procedure1 applies to measures C and BC only")
-        return procedure1(inst, mu)
-    if strategy == "procedure2":
-        if mu is not Measure.L:
-            raise ValueError("--strategy procedure2 applies to measure L only")
-        return procedure2(inst)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def _measure_list(args) -> list[Measure]:
+    if args.measure != "all":
+        return [Measure(args.measure)]
+    if args.out:
+        raise ValueError("--out needs a single --measure, not 'all'")
+    return list(MEASURES)
 
 
 def cmd_minimize(args) -> int:
     text = _read_file(args.infile)
     n, raw = parse_bodies(text)
-    measures = _measure_list(args.measure)
-    if args.out and len(measures) != 1:
-        raise ValueError("--out needs a single --measure, not 'all'")
+    measures = _measure_list(args)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
@@ -287,17 +258,18 @@ def cmd_minimize(args) -> int:
             "k": inst.k,
             "delta": inst.delta,
         }
+        t1 = time.perf_counter()
         if args.strategy == "auto":
-            t1 = time.perf_counter()
-            all_results = minimize_all(inst)
-            timings["minimize_ms"] = (time.perf_counter() - t1) * 1000
-            per_measure = {mu: all_results[mu] for mu in measures}
+            per_measure = minimize_all(inst)
         else:
-            t1 = time.perf_counter()
-            per_measure = {
-                mu: _forced_result(inst, mu, args.strategy) for mu in measures
-            }
-            timings["minimize_ms"] = (time.perf_counter() - t1) * 1000
+            targets = STRATEGY_TARGETS[args.strategy]
+            if any(mu not in targets for mu in measures):
+                noun = "measures" if len(targets) > 1 else "measure"
+                what = " and ".join(map(str, targets))
+                raise ValueError(f"--strategy {args.strategy} applies to {noun} {what} only")
+            table = CandidateTable(inst)
+            per_measure = {mu: table.score(args.strategy, mu) for mu in measures}
+        timings["minimize_ms"] = (time.perf_counter() - t1) * 1000
         t1 = time.perf_counter()
         lifted_cache: dict[int, HornCNF] = {}
         for mu in measures:
@@ -329,14 +301,8 @@ def cmd_minimize(args) -> int:
         }
         for mu in measures:
             size = measure_size(phi, mu)
-            results_block[str(mu)] = {
-                "size": size,
-                "lifted_size": size,
-                "lower_bound": size,
-                "strategy": STRATEGY_EXACT,
-                **_frac_fields("ratio", Fraction(1)),
-                **_frac_fields("guarantee", Fraction(1)),
-            }
+            res = MinimizationResult(phi, mu, size, size, Fraction(1), STRATEGY_EXACT)
+            results_block[str(mu)] = _result_block(res, size)
         out_formula = phi
 
     report["results"] = results_block
@@ -380,9 +346,7 @@ def cmd_verify(args) -> int:
 def cmd_exact(args) -> int:
     text = _read_file(args.infile)
     n, raw = parse_bodies(text)
-    measures = _measure_list(args.measure)
-    if args.out and len(measures) != 1:
-        raise ValueError("--out needs a single --measure, not 'all'")
+    measures = _measure_list(args)
     report = {"format": 1, "version": __version__, "input_digest": _digest(text)}
     results = {}
     try:
@@ -418,10 +382,7 @@ def cmd_bounds(args) -> int:
     try:
         inst, _rec = normalize(n, raw)
         bounds = {str(mu): lower_bound(inst, mu) for mu in MEASURES}
-        if inst.m >= 2:
-            part = lower_bound_partition_c(inst)
-            bounds["C_partition"] = part
-            bounds["C"] = max(bounds["C"], part)
+        bounds["C_partition"] = lower_bound_partition_c(inst)
         report["instance"] = {"n": inst.n, "m": inst.m, "k": inst.k, "delta": inst.delta}
         report["lower_bounds"] = bounds
     except TrivialInstance as triv:
@@ -450,6 +411,9 @@ def cmd_price(args) -> int:
     dst = _parse_var_list(args.to, n)
     out = {"measure": args.measure, "from": sorted(src), "to": sorted(dst)}
     if args.measure == "C":
+        # as for L: with no body inside the source no clause can ever fire
+        if not dst.issubset(src) and not any(b.issubset(src) for b in raw):
+            raise NoBodyInSourceError("no family body is contained in the source set")
         out["value"] = len(dst - src)
         out["exact"] = True
     else:

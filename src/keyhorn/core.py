@@ -57,10 +57,6 @@ class VarSet:
         return cls._raw(n, mask)
 
     @classmethod
-    def empty(cls, n: int) -> "VarSet":
-        return cls._raw(n, 0)
-
-    @classmethod
     def full(cls, n: int) -> "VarSet":
         return cls._raw(n, (1 << n) - 1)
 
@@ -82,9 +78,6 @@ class VarSet:
             yield lsb.bit_length()
             m ^= lsb
 
-    def elements(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def __or__(self, other: "VarSet") -> "VarSet":
         _same_universe(self, other)
         return VarSet._raw(self.n, self.mask | other.mask)
@@ -100,9 +93,6 @@ class VarSet:
     def issubset(self, other: "VarSet") -> bool:
         _same_universe(self, other)
         return self.mask & ~other.mask == 0
-
-    def issuperset(self, other: "VarSet") -> bool:
-        return other.issubset(self)
 
     def isdisjoint(self, other: "VarSet") -> bool:
         _same_universe(self, other)
@@ -211,9 +201,6 @@ class HornCNF:
     def of(cls, n: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> "HornCNF":
         """Build from (body, heads) element iterables; test/CLI convenience."""
         return cls(n, (ClauseGroup(VarSet(n, b), VarSet(n, h)) for b, h in pairs))
-
-    def bodies(self) -> tuple[VarSet, ...]:
-        return tuple(g.body for g in self.groups)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -11,11 +11,11 @@ dynamic program over body chains.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import approx
-from .core import ClauseGroup, HornCNF, KeyHornInstance, Measure, VarSet
+from .core import MEASURES, ClauseGroup, HornCNF, KeyHornInstance, Measure, VarSet
 from .graph import NoBodyInSourceError
 
 
@@ -218,16 +218,16 @@ def _search_weighted(
     weights: list[int],
     seed_mu: Measure,
     deadline: Optional[float],
-) -> tuple[int, HornCNF, bool]:
+) -> OptResult:
     seed = approx.minimize(inst, seed_mu)
     search = _ClauseSearch(inst, weights, deadline)
     try:
         best, choice = search.run(_clause_cost(seed.formula, inst, weights) + 1)
     except _Timeout:
-        return seed.size, seed.formula, False
+        return OptResult(seed.size, seed.formula, False)
     # the seed formula lives in the searched space, so something was found
     assert choice is not None
-    return best, _formula_from_choice(inst, choice), True
+    return OptResult(best, _formula_from_choice(inst, choice), True)
 
 
 def _clause_cost(phi: HornCNF, inst: KeyHornInstance, weights: list[int]) -> int:
@@ -251,34 +251,7 @@ def opt_exact(
     unit-weight search, and literal count is the same search with weight
     |body| + 1 per clause.
     """
-    if not inst.is_normalized:
-        raise ValueError("instance must be normalized (covering and coreless)")
-    n_cands = sum(inst.n - len(b) for b in inst.bodies)
-    if n_cands > max_candidates:
-        raise SearchLimitError(
-            f"{n_cands} candidate clauses exceed the cap of {max_candidates}"
-        )
-    deadline = None if timeout is None else time.monotonic() + timeout
-    sum_bodies = sum(len(b) for b in inst.bodies)
-
-    if mu is Measure.L:
-        weights = [len(b) + 1 for b in inst.bodies]
-        size, formula, optimal = _search_weighted(inst, weights, Measure.L, deadline)
-        return OptResult(size, formula, optimal)
-
-    unit = [1] * inst.m
-    cost, formula, optimal = _search_weighted(inst, unit, Measure.C, deadline)
-    if mu is Measure.C:
-        return OptResult(cost, formula, optimal)
-    if mu is Measure.BC:
-        return OptResult(inst.m + cost, formula, optimal)
-    if mu is Measure.TA:
-        return OptResult(sum_bodies + cost, formula, optimal)
-    if mu is Measure.B:
-        return OptResult(inst.m, formula, optimal)
-    if mu is Measure.BA:
-        return OptResult(sum_bodies, formula, optimal)
-    raise ValueError(f"unknown measure {mu!r}")
+    return _opt_exact(inst, (mu,), max_candidates, timeout)[mu]
 
 
 def opt_exact_all(
@@ -287,6 +260,17 @@ def opt_exact_all(
     timeout: Optional[float] = None,
 ) -> dict[Measure, OptResult]:
     """All six optima, running the two underlying searches once each."""
+    return _opt_exact(inst, MEASURES, max_candidates, timeout)
+
+
+def _opt_exact(
+    inst: KeyHornInstance,
+    measures: Sequence[Measure],
+    max_candidates: int,
+    timeout: Optional[float],
+) -> dict[Measure, OptResult]:
+    """The optima of ``measures`` under one cap check and one deadline,
+    running only the searches they need."""
     if not inst.is_normalized:
         raise ValueError("instance must be normalized (covering and coreless)")
     n_cands = sum(inst.n - len(b) for b in inst.bodies)
@@ -295,18 +279,19 @@ def opt_exact_all(
             f"{n_cands} candidate clauses exceed the cap of {max_candidates}"
         )
     deadline = None if timeout is None else time.monotonic() + timeout
-    sum_bodies = sum(len(b) for b in inst.bodies)
-    unit_cost, unit_formula, unit_ok = _search_weighted(
-        inst, [1] * inst.m, Measure.C, deadline
-    )
-    l_size, l_formula, l_ok = _search_weighted(
-        inst, [len(b) + 1 for b in inst.bodies], Measure.L, deadline
-    )
-    return {
-        Measure.B: OptResult(inst.m, unit_formula, unit_ok),
-        Measure.BA: OptResult(sum_bodies, unit_formula, unit_ok),
-        Measure.TA: OptResult(sum_bodies + unit_cost, unit_formula, unit_ok),
-        Measure.C: OptResult(unit_cost, unit_formula, unit_ok),
-        Measure.BC: OptResult(inst.m + unit_cost, unit_formula, unit_ok),
-        Measure.L: OptResult(l_size, l_formula, l_ok),
-    }
+    out: dict[Measure, OptResult] = {}
+    if any(mu is not Measure.L for mu in measures):
+        unit = _search_weighted(inst, [1] * inst.m, Measure.C, deadline)
+        sum_bodies = sum(len(b) for b in inst.bodies)
+        sizes = {
+            Measure.B: inst.m,
+            Measure.BA: sum_bodies,
+            Measure.TA: sum_bodies + unit.size,
+            Measure.C: unit.size,
+            Measure.BC: inst.m + unit.size,
+        }
+        out = {mu: replace(unit, size=sizes[mu]) for mu in measures if mu in sizes}
+    if Measure.L in measures:
+        weights = [len(b) + 1 for b in inst.bodies]
+        out[Measure.L] = _search_weighted(inst, weights, Measure.L, deadline)
+    return out

@@ -155,9 +155,6 @@ class ProjectiveInstance:
     def hyperplane_shifts(self) -> tuple[VarSet, ...]:
         return self.bodies[: self.n]
 
-    def interval_shifts(self) -> tuple[VarSet, ...]:
-        return self.bodies[self.n :]
-
     def min_price_into_hyperplane_shifts(self) -> int:
         """Measured minimum clause cost over arcs entering a hyperplane
         shift; a per-node lower bound for any strongly connected subgraph."""

@@ -41,9 +41,6 @@ class BodyGraph:
     def m(self) -> int:
         return len(self.nodes)
 
-    def w(self, i: int, j: int) -> int:
-        return self.weight[i][j]
-
 
 @dataclass(frozen=True, eq=True)
 class InArborescence:

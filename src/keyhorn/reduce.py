@@ -105,7 +105,8 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
         if b.n != n:
             raise ValueError(f"body over universe {b.n}, family over {n}")
     minimal = sperner_minimal(raw)
-    dropped = canonical_sorted(b for b in raw if b not in set(minimal))
+    kept = set(minimal)
+    dropped = canonical_sorted(b for b in raw if b not in kept)
     if len(minimal) == 1:
         raise TrivialInstance(n, minimal[0])
 

@@ -14,11 +14,12 @@ from keyhorn import (
     measure_size,
     minimize,
     minimize_all,
-    minimize_b_ba,
     procedure1,
     procedure2,
     verify_representation,
 )
+
+from keyhorn import approx, cli
 
 from helpers import random_instances
 
@@ -47,6 +48,15 @@ class TestLowerBounds:
         single = KeyHornInstance(2, [VarSet(2, [1])])
         with pytest.raises(ValueError):
             lower_bound_partition_c(single)
+
+    def test_c_includes_partition_bound(self):
+        # the Fano lines meet pairwise in one point: partition bound 14 > m = n = 7
+        fano = [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7], [1, 5, 6], [2, 6, 7], [1, 3, 7]]
+        fano_inst = KeyHornInstance(7, [VarSet(7, line) for line in fano])
+        assert lower_bound(fano_inst, Measure.C) == 14
+        for inst in random_instances(40, 3100):
+            want = max(inst.m, inst.n, lower_bound_partition_c(inst))
+            assert lower_bound(inst, Measure.C) == want
 
     def test_requires_normalized(self):
         raw = KeyHornInstance(4, [VarSet(4, [1, 2]), VarSet(4, [1, 3])])
@@ -86,12 +96,11 @@ class TestHamiltonian:
 
 class TestExactMeasures:
     def test_b_ba_sizes(self):
-        res_b = minimize_b_ba(SINGLETONS, Measure.B)
+        res_b = minimize(SINGLETONS, Measure.B)
         assert res_b.size == 3 and res_b.guarantee == 1
-        res_ba = minimize_b_ba(TRIANGLE, Measure.BA)
-        assert res_ba.size == 6
-        with pytest.raises(ValueError):
-            minimize_b_ba(TRIANGLE, Measure.C)
+        assert res_b.strategy == "exact"
+        res_ba = minimize(TRIANGLE, Measure.BA)
+        assert res_ba.size == 6 and res_ba.guarantee == 1
 
 
 class TestProcedure1:
@@ -169,3 +178,52 @@ class TestMinimize:
                 ham = hamiltonian_formula(inst)
                 assert minimize(inst, mu).size <= measure_size(ham, mu)
             assert minimize(inst, Measure.L).size <= procedure2(inst).size
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestCandidateTable:
+    def test_cycle_measures_build_no_procedure(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("B, BA and TA need only the cycle")
+
+        monkeypatch.setattr(approx, "procedure1", boom)
+        monkeypatch.setattr(approx, "procedure2", boom)
+        for inst in random_instances(10, 3200):
+            for mu in (Measure.B, Measure.BA, Measure.TA):
+                assert verify_representation(minimize(inst, mu).formula, inst)
+
+    def test_each_candidate_built_once_per_instance(self, monkeypatch):
+        names = ("hamiltonian_formula", "procedure1", "procedure2", "lower_bound_partition_c")
+        calls = {name: _counting(monkeypatch, approx, name) for name in names}
+        minimize_all(random_instances(1, 3300)[0])
+        for name in ("hamiltonian_formula", "procedure1", "procedure2"):
+            assert len(calls[name]) == 1
+        # once in procedure1 and once for the table's C bound, no more
+        assert len(calls["lower_bound_partition_c"]) <= 2
+
+    def test_forced_cycle_for_all_measures_builds_it_once(self, tmp_path, monkeypatch, capsys):
+        inst = random_instances(1, 3400)[0]
+        path = tmp_path / "r.bodies"
+        path.write_text(cli.write_bodies(inst.n, inst.bodies))
+        calls = _counting(monkeypatch, approx, "hamiltonian_formula")
+        argv = ["minimize", "--in", str(path), "--measure", "all", "--strategy", "hamiltonian"]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+
+    def test_score_rejects_measures_a_procedure_does_not_target(self):
+        table = approx.CandidateTable(TRIANGLE)
+        with pytest.raises(ValueError):
+            table.score("procedure1", Measure.L)
+        with pytest.raises(ValueError):
+            table.score("procedure2", Measure.C)

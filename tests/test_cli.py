@@ -233,6 +233,18 @@ class TestOtherCommands:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["value"] == 6
 
+    @pytest.mark.parametrize("measure", ["C", "L"])
+    def test_price_rejects_source_without_body(self, tmp_path, capsys, measure):
+        p = tmp_path / "four.bodies"
+        p.write_text("p keyhorn 4 2\n1 2\n3 4\n")
+        rc = main(["price", "--in", str(p), "--measure", measure, "--from", "1", "--to", "3 4"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "keyhorn: error: no family body is contained in the source set\n"
+        )
+
     def test_gen_roundtrip_minimize(self, tmp_path, capsys):
         f = tmp_path / "r.bodies"
         rc = main(

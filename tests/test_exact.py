@@ -22,6 +22,8 @@ from keyhorn import (
     verify_representation,
 )
 
+from keyhorn import exact
+
 from helpers import random_instances, random_subset
 
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
@@ -206,3 +208,25 @@ class TestOptExact:
         assert verify_representation(res.formula, inst)
         true_opt = opt_exact(inst, Measure.C).size
         assert res.size >= true_opt
+
+    @pytest.mark.parametrize(
+        "run, searches",
+        [
+            (lambda inst: opt_exact(inst, Measure.L), [Measure.L]),
+            (lambda inst: opt_exact(inst, Measure.C), [Measure.C]),
+            (lambda inst: opt_exact(inst, Measure.B), [Measure.C]),
+            (opt_exact_all, [Measure.C, Measure.L]),
+        ],
+        ids=["L", "C", "B", "all"],
+    )
+    def test_runs_only_the_searches_its_measures_need(self, monkeypatch, run, searches):
+        calls = []
+        real = exact._search_weighted
+
+        def counted(inst, weights, seed_mu, deadline):
+            calls.append(seed_mu)
+            return real(inst, weights, seed_mu, deadline)
+
+        monkeypatch.setattr(exact, "_search_weighted", counted)
+        run(TRIANGLE)
+        assert calls == searches
