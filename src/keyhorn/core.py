@@ -281,20 +281,31 @@ class _Propagator:
                 occ.setdefault(v, []).append(gi)
         self.occ = occ
 
+    def add_group(self, bmask: int, hmask: int) -> None:
+        """Append the group ``bmask -> hmask``.  Closures stay unchanged
+        only when the group is entailed by the formula."""
+        gi = len(self.body_masks)
+        self.body_masks.append(bmask)
+        self.head_masks.append(hmask)
+        while bmask:
+            lsb = bmask & -bmask
+            bmask ^= lsb
+            self.occ.setdefault(lsb.bit_length(), []).append(gi)
+
     def closure_mask(self, zmask: int) -> int:
         # counts are taken against zmask, so only variables derived later may
         # decrement them; derived heads are always disjoint from z.
         reached = zmask
-        counts = []
+        outside = ~zmask
+        counts = [(bmask & outside).bit_count() for bmask in self.body_masks]
         stack: list[int] = []
-        for gi, bmask in enumerate(self.body_masks):
-            rem = (bmask & ~zmask).bit_count()
-            counts.append(rem)
-            if rem == 0:
-                new = self.head_masks[gi] & ~reached
-                if new:
-                    reached |= new
-                    stack.append(new)
+        if 0 in counts:
+            for gi, rem in enumerate(counts):
+                if rem == 0:
+                    new = self.head_masks[gi] & ~reached
+                    if new:
+                        reached |= new
+                        stack.append(new)
         while stack:
             if reached == self.full_mask:
                 return reached
@@ -309,6 +320,8 @@ class _Propagator:
                         new = self.head_masks[gi] & ~reached
                         if new:
                             reached |= new
+                            if reached == self.full_mask:
+                                return reached
                             stack.append(new)
         return reached
 
@@ -391,12 +404,22 @@ def verify_against_family(phi: HornCNF, n: int, bodies: Iterable[VarSet]) -> Ver
     for g in phi.groups:
         if not any(b.mask & ~g.body.mask == 0 for b in fam):
             return VerifyResult(False, bad_group=g)
+    # Bodies are closed from last to first, and each one that reaches the
+    # universe becomes the group ``b -> V \ b``.  That group is entailed, so
+    # no closure changes, but a later closure stops once it covers a proven
+    # body (a cycle formula chains each body into the next one).  The body
+    # reported is still the first failing one in family order.
     prop = _Propagator(phi)
     full = (1 << n) - 1
-    for b in fam:
+    bad = None
+    for b in reversed(fam):
         cl = prop.closure_mask(b.mask)
-        if cl != full:
-            return VerifyResult(False, bad_body=b, closure=VarSet._raw(n, cl))
+        if cl == full:
+            prop.add_group(b.mask, full ^ b.mask)
+        else:
+            bad = b, cl
+    if bad is not None:
+        return VerifyResult(False, bad_body=bad[0], closure=VarSet._raw(n, bad[1]))
     return VerifyResult(True)
 
 

@@ -176,38 +176,76 @@ def lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFormul
 def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
     """Complete body graph under the literal arc costs.
 
-    ``weight[i][j]`` equals ``lambda_formula(inst, bodies[i], bodies[j]).weight``;
-    computed with one dense single-source run per node since the arc costs
-    depend on the source body.
+    ``weight[i][j]`` equals ``lambda_formula(inst, bodies[i], bodies[j]).weight``:
+    the cheapest chain i = P0 -> P1 -> ... -> Pt = j whose arc u -> v, taken
+    from source s = B_i, costs (|B_u| + 1) * |B_v \\ (B_i | B_u)|.
+
+    Lemma: an intermediate Pj with |Pj| >= |Pj-1| can be skipped at no extra
+    cost: Pj+1 \\ (s | Pj-1) lies in (Pj \\ (s | Pj-1)) | (Pj+1 \\ (s | Pj)),
+    and the shortcut pays |Pj-1| + 1 <= |Pj| + 1 for each of its variables.
+    So some cheapest chain has strictly decreasing intermediate sizes, all
+    below |B_i|, and one relaxation from each smaller body in decreasing size
+    order (a DAG, no heap) gives the exact distances.  Relaxing between
+    bodies of equal size is harmless: every candidate is a real chain.
+
+    Identity: |B_v \\ (B_i | B_u)| = |B_v| - |B_v & B_i| - |B_v & B_u|
+    + |B_u & B_v & B_i|, so the pairwise intersection sizes are counted
+    once, and the triple term, nonzero only for bodies sharing a variable of
+    B_u & B_i, is added through per-variable holder lists.
     """
     bodies = inst.bodies
     m = inst.m
     masks = [b.mask for b in bodies]
-    szp = [len(b) + 1 for b in bodies]
-    unreached = (inst.n + 2) * (inst.k + 2) * (m + 2)  # above any path weight
+    sizes = [len(b) for b in bodies]
+    # A row of m small nonnegative integers is one int, field v at bit v*w,
+    # so adding, scaling and taking the minimum of rows are a few big-int
+    # operations.  Every field value stays below 2**(w-1): the top bit of a
+    # field is a guard that a field-wise subtraction never borrows past.  A
+    # distance is at most its direct arc, (k+1)*k, and a candidate adds at
+    # most one more arc.
+    cap = 2 * (inst.k + 1) * inst.k
+    nb = (cap.bit_length() + 8) // 8
+    w = 8 * nb
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(nb, "little") for x in values), "little")
+
+    ones = pack([1] * m)
+    guard = ones << (w - 1)
+    field = (1 << w) - 1
+    packed_sizes = pack(sizes)
+    inter = [pack([(a & b).bit_count() for b in masks]) for a in masks]
+    units = [1 << (v * w) for v in range(m)]
+    holders: dict[int, list[int]] = {}  # variable bit -> the units of the bodies holding it
+    for v, mask in enumerate(masks):
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            holders.setdefault(bit, []).append(units[v])
+
     weight_rows = []
+    smaller = 0  # canonical order: bodies[:smaller] are the ones smaller than B_i
     for i in range(m):
-        notc = [~(masks[i] | masks[u]) for u in range(m)]
-        dist = [unreached] * m
-        dist[i] = 0
-        done = [False] * m
-        for _ in range(m):
-            u = -1
-            best = unreached
-            for x in range(m):
-                if not done[x] and dist[x] < best:
-                    best = dist[x]
-                    u = x
-            if u < 0:
-                break
-            done[u] = True
-            du, nc, sp = dist[u], notc[u], szp[u]
-            for v in range(m):
-                if not done[v]:
-                    nd = du + (masks[v] & nc).bit_count() * sp
-                    if nd < dist[v]:
-                        dist[v] = nd
-        weight_rows.append(tuple(dist))
+        while sizes[smaller] < sizes[i]:
+            smaller += 1
+        outside = packed_sizes - inter[i]  # |B_v \ B_i|
+        dist = (sizes[i] + 1) * outside
+        for u in range(smaller - 1, -1, -1):
+            du = (dist >> (u * w)) & field
+            triple = 0
+            common = masks[u] & masks[i]
+            while common:
+                bit = common & -common
+                common ^= bit
+                triple += sum(holders[bit])
+            cand = du * ones + (sizes[u] + 1) * (outside - inter[u] + triple)
+            # fields where dist >= cand keep their guard bit; take cand there
+            ge = ((dist | guard) - cand) & guard
+            dist ^= (dist ^ cand) & (ge - (ge >> (w - 1)))
+        row = dist.to_bytes(m * nb, "little")
+        weight_rows.append(
+            tuple(int.from_bytes(row[j : j + nb], "little") for j in range(0, m * nb, nb))
+        )
     return BodyGraph(bodies, tuple(weight_rows))
 
 

@@ -17,9 +17,13 @@ from keyhorn import (
     HornCNF,
     KeyHornInstance,
     TrivialInstance,
+    UniverseMismatchError,
     VarSet,
+    VerifyResult,
     gen_random,
 )
+from keyhorn.core import _Propagator
+from keyhorn.graph import BodyGraph
 from keyhorn.gen import GenerationError
 
 
@@ -71,6 +75,23 @@ def random_instances(
         except (GenerationError, TrivialInstance):
             continue
     return out
+
+
+def random_sperner_instance(rng: random.Random, n: int, m: int) -> KeyHornInstance:
+    """Up to ``m`` pairwise incomparable bodies over {1..n}, raw (possibly
+    not covering), drawn from at most three sizes so that many bodies share
+    a size; sizes 1 and 2 are drawn often."""
+    sizes = rng.sample(range(1, n), min(n - 1, rng.randint(1, 3)))
+    if rng.random() < 0.5:
+        sizes[0] = rng.choice((1, 2)) if n > 2 else 1
+    fam: list[VarSet] = []
+    for _ in range(20 * m):
+        if len(fam) == m:
+            break
+        s = VarSet(n, rng.sample(range(1, n + 1), rng.choice(sizes)))
+        if all(a.mask & ~s.mask and s.mask & ~a.mask for a in fam):
+            fam.append(s)
+    return KeyHornInstance(n, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +314,77 @@ def ref_best_unrooted_root(weight) -> int:
     roots = [v for v, a in parents.items() if a[0] == m]
     assert len(roots) == 1
     return roots[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference literal-cost body graph: the m dense single-source Dijkstras the
+# package used before its decreasing-size relaxation, kept verbatim as a
+# differential oracle for the weights of ``keyhorn.graph.body_graph_l``.
+# ---------------------------------------------------------------------------
+
+
+def ref_body_graph_l(inst: KeyHornInstance) -> BodyGraph:
+    """Complete body graph under the literal arc costs.
+
+    ``weight[i][j]`` equals ``lambda_formula(inst, bodies[i], bodies[j]).weight``;
+    computed with one dense single-source run per node since the arc costs
+    depend on the source body.
+    """
+    bodies = inst.bodies
+    m = inst.m
+    masks = [b.mask for b in bodies]
+    szp = [len(b) + 1 for b in bodies]
+    unreached = (inst.n + 2) * (inst.k + 2) * (m + 2)  # above any path weight
+    weight_rows = []
+    for i in range(m):
+        notc = [~(masks[i] | masks[u]) for u in range(m)]
+        dist = [unreached] * m
+        dist[i] = 0
+        done = [False] * m
+        for _ in range(m):
+            u = -1
+            best = unreached
+            for x in range(m):
+                if not done[x] and dist[x] < best:
+                    best = dist[x]
+                    u = x
+            if u < 0:
+                break
+            done[u] = True
+            du, nc, sp = dist[u], notc[u], szp[u]
+            for v in range(m):
+                if not done[v]:
+                    nd = du + (masks[v] & nc).bit_count() * sp
+                    if nd < dist[v]:
+                        dist[v] = nd
+        weight_rows.append(tuple(dist))
+    return BodyGraph(bodies, tuple(weight_rows))
+
+
+# ---------------------------------------------------------------------------
+# Reference verifier: the family-order closure loop the package used before
+# verification reused the bodies it had proven, kept verbatim as a
+# differential oracle for every field of ``keyhorn.verify_against_family``.
+# ---------------------------------------------------------------------------
+
+
+def ref_verify_against_family(phi: HornCNF, n: int, bodies: Iterable[VarSet]) -> VerifyResult:
+    """Check that ``phi`` represents the key Horn function of ``bodies``.
+
+    Accepts iff (a) every body of ``phi`` contains some family body, so each
+    clause of ``phi`` is entailed by the canonical representation, and (b)
+    chaining from every family body reaches the whole universe.
+    """
+    fam = list(bodies)
+    if phi.n != n or any(b.n != n for b in fam):
+        raise UniverseMismatchError("formula and family universes differ")
+    for g in phi.groups:
+        if not any(b.mask & ~g.body.mask == 0 for b in fam):
+            return VerifyResult(False, bad_group=g)
+    prop = _Propagator(phi)
+    full = (1 << n) - 1
+    for b in fam:
+        cl = prop.closure_mask(b.mask)
+        if cl != full:
+            return VerifyResult(False, bad_body=b, closure=VarSet._raw(n, cl))
+    return VerifyResult(True)

@@ -209,8 +209,8 @@ class TestCandidateTable:
         minimize_all(random_instances(1, 3300)[0])
         for name in ("hamiltonian_formula", "procedure1", "procedure2"):
             assert len(calls[name]) == 1
-        # once in procedure1 and once for the table's C bound, no more
-        assert len(calls["lower_bound_partition_c"]) <= 2
+        # once, in procedure1, whose C bound the table keeps
+        assert len(calls["lower_bound_partition_c"]) == 1
 
     def test_forced_cycle_for_all_measures_builds_it_once(self, tmp_path, monkeypatch, capsys):
         inst = random_instances(1, 3400)[0]

@@ -16,11 +16,15 @@ from keyhorn import (
     equivalent,
     forward_chain,
     forward_chain_trace,
+    hamiltonian_formula,
     measure_size,
+    procedure1,
+    procedure2,
+    verify_against_family,
     verify_representation,
 )
 
-from helpers import random_cnf, random_subset
+from helpers import random_cnf, random_instances, random_subset, ref_verify_against_family
 
 
 def warmup_formula():
@@ -246,6 +250,60 @@ class TestVerify:
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatchError):
             verify_representation(HornCNF(4), TRIANGLE)
+
+
+def _dropped_group(rng, phi):
+    groups = list(phi.groups)
+    del groups[rng.randrange(len(groups))]
+    return HornCNF(phi.n, groups)
+
+
+def _dropped_head(rng, phi):
+    groups = list(phi.groups)
+    gi = rng.randrange(len(groups))
+    heads = list(groups[gi].heads)
+    heads.remove(rng.choice(heads))
+    groups[gi] = ClauseGroup(groups[gi].body, VarSet(phi.n, heads))
+    return HornCNF(phi.n, groups)
+
+
+def _kind(res):
+    return "ok" if res else "body" if res.bad_body else "group"
+
+
+class TestVerifyMatchesReference:
+    """Reusing proven bodies changes no field of the result: ok, the first
+    bad group, the first failing body in family order and its closure
+    (``helpers.ref_verify_against_family`` is the verifier it replaced)."""
+
+    def test_candidates_and_their_mutations(self):
+        rng = random.Random(4200)
+        kinds = set()
+        for inst in random_instances(60, 4200, n_range=(3, 9), m_range=(2, 7)):
+            candidates = (hamiltonian_formula(inst), procedure1(inst).formula, procedure2(inst).formula)
+            for phi in candidates:
+                for cand in (phi, _dropped_group(rng, phi), _dropped_head(rng, phi)):
+                    fam = list(inst.bodies)
+                    for _ in range(2):
+                        got = verify_against_family(cand, inst.n, fam)
+                        assert got == ref_verify_against_family(cand, inst.n, fam)
+                        kinds.add(_kind(got))
+                        rng.shuffle(fam)
+        assert kinds == {"ok", "body"}
+
+    def test_random_formulas_on_random_families(self):
+        rng = random.Random(4300)
+        kinds = set()
+        for _ in range(3000):
+            phi = random_cnf(rng)
+            n = phi.n
+            fam = [g.body for g in phi.groups if rng.random() < 0.7]
+            for _ in range(rng.randint(0, 3)):
+                fam.append(VarSet(n, rng.sample(range(1, n + 1), rng.randint(1, n))))
+            got = verify_against_family(phi, n, fam)
+            assert got == ref_verify_against_family(phi, n, fam)
+            kinds.add(_kind(got))
+        assert kinds == {"ok", "body", "group"}
 
 
 class TestKeyHornInstance:

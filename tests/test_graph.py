@@ -12,7 +12,9 @@ from keyhorn import (
     body_graph_c,
     body_graph_l,
     forward_chain,
+    gen_hydra,
     gen_projective,
+    gen_random,
     lambda_formula,
     measure_size,
     min_in_arborescence,
@@ -27,8 +29,10 @@ from helpers import (
     brute_mwscs,
     is_strongly_connected,
     random_instances,
+    random_sperner_instance,
     random_weight_matrix,
     ref_best_unrooted_root,
+    ref_body_graph_l,
     ref_out_parents,
     ref_rooted_in_succ,
 )
@@ -137,6 +141,32 @@ class TestBodyGraphL:
                     if i != j:
                         lam = lambda_formula(inst, inst.bodies[i], inst.bodies[j])
                         assert g.weight[i][j] == lam.weight
+
+
+class TestBodyGraphLMatchesReference:
+    """The decreasing-size relaxation gives exactly the weights of the dense
+    Dijkstra runs it replaced (``helpers.ref_body_graph_l``)."""
+
+    def test_random_families(self):
+        rng = random.Random(4000)
+        for _ in range(2000):
+            inst = random_sperner_instance(rng, rng.randint(3, 30), rng.randint(2, 20))
+            assert body_graph_l(inst).weight == ref_body_graph_l(inst).weight
+
+    def test_single_body(self):
+        inst = KeyHornInstance(3, [VarSet(3, [1, 2])])
+        assert body_graph_l(inst).weight == ref_body_graph_l(inst).weight == ((0,),)
+
+    def test_structured_families(self):
+        clique = [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
+        star = [(1, b) for b in range(2, 12)]
+        for inst in (
+            gen_projective(3).instance(),
+            gen_hydra(clique + [(8, 9), (9, 10)], 10),
+            gen_hydra(star, 11),
+            gen_random(300, 60, 20, 4100),
+        ):
+            assert body_graph_l(inst).weight == ref_body_graph_l(inst).weight
 
 
 class TestShortestPath:
