@@ -21,6 +21,7 @@ from .core import (
     KeyHornInstance,
     MEASURES,
     Measure,
+    VerificationError,
     measure_size,
     verify_representation,
 )
@@ -118,7 +119,7 @@ def _require_normalized(inst: KeyHornInstance) -> None:
 def _verified(formula: HornCNF, inst: KeyHornInstance) -> HornCNF:
     res = verify_representation(formula, inst)
     if not res:
-        raise AssertionError(f"produced formula failed verification: {res}")
+        raise VerificationError(f"produced formula failed verification: {res}")
     return formula
 
 

@@ -38,6 +38,7 @@ from .core import (
     Measure,
     MEASURES,
     VarSet,
+    VerificationError,
     measure_size,
     verify_against_family,
 )
@@ -54,18 +55,15 @@ from .graph import (
     body_graph_c,
     lambda_formula,
     mwscs_2approx,
+    price_c,
 )
-from .reduce import TrivialInstance, lift, normalize, sperner_minimal, trivial_formula
+from .reduce import NormalizationRecord, TrivialInstance, lift, normalize, sperner_minimal, trivial_formula
 
 
 class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class VerificationError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +231,17 @@ def _measure_list(args) -> list[Measure]:
     return list(MEASURES)
 
 
+def _verified_lift(
+    formula: HornCNF, rec: Optional[NormalizationRecord], n: int, raw: list[VarSet], what: str
+) -> HornCNF:
+    """``formula`` lifted back to the input's variables (with no record it
+    already is on them), verified against the input family."""
+    lifted = formula if rec is None else lift(formula, rec, raw)
+    if not verify_against_family(lifted, n, raw):
+        raise VerificationError(f"{what} failed verification")
+    return lifted
+
+
 def cmd_minimize(args) -> int:
     text = _read_file(args.infile)
     n, raw = parse_bodies(text)
@@ -276,23 +285,16 @@ def cmd_minimize(args) -> int:
             res = per_measure[mu]
             key = id(res.formula)
             if key not in lifted_cache:
-                lifted = lift(res.formula, rec, raw)
-                check = verify_against_family(lifted, n, raw)
-                if not check:
-                    raise VerificationError(
-                        f"lifted formula for measure {mu} failed verification"
-                    )
-                lifted_cache[key] = lifted
+                lifted_cache[key] = _verified_lift(
+                    res.formula, rec, n, raw, f"lifted formula for measure {mu}"
+                )
             lifted = lifted_cache[key]
             results_block[str(mu)] = _result_block(res, measure_size(lifted, mu))
             if args.out:
                 out_formula = lifted
         timings["lift_verify_ms"] = (time.perf_counter() - t1) * 1000
     except TrivialInstance as triv:
-        phi = trivial_formula(triv)
-        check = verify_against_family(phi, n, raw)
-        if not check:
-            raise VerificationError("trivial representation failed verification")
+        phi = _verified_lift(trivial_formula(triv), None, n, raw, "trivial representation")
         report["instance"] = {
             "n": triv.n,
             "m": 1,
@@ -349,27 +351,27 @@ def cmd_exact(args) -> int:
     measures = _measure_list(args)
     report = {"format": 1, "version": __version__, "input_digest": _digest(text)}
     results = {}
+    # with --out there is exactly one measure (see _measure_list)
+    witness: Optional[HornCNF] = None
     try:
         inst, rec = normalize(n, raw)
         all_opt = opt_exact_all(
             inst, max_candidates=args.max_candidates, timeout=args.timeout
         )
-        witness: Optional[HornCNF] = None
         for mu in measures:
             res = all_opt[mu]
             results[str(mu)] = {"opt": res.size, "optimal": res.optimal}
             if args.out:
-                witness = lift(res.formula, rec, raw)
-        if args.out and witness is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(write_horn(witness))
+                witness = _verified_lift(res.formula, rec, n, raw, f"witness for measure {mu}")
     except TrivialInstance as triv:
         phi = trivial_formula(triv)
         for mu in measures:
             results[str(mu)] = {"opt": measure_size(phi, mu), "optimal": True}
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(write_horn(phi))
+            witness = _verified_lift(phi, None, n, raw, "trivial representation")
+    if witness is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(write_horn(witness))
     report["results"] = results
     sys.stdout.write(_dump_json(report))
     return 0
@@ -414,7 +416,7 @@ def cmd_price(args) -> int:
         # as for L: with no body inside the source no clause can ever fire
         if not dst.issubset(src) and not any(b.issubset(src) for b in raw):
             raise NoBodyInSourceError("no family body is contained in the source set")
-        out["value"] = len(dst - src)
+        out["value"] = price_c(src, dst)
         out["exact"] = True
     else:
         # keep the caller's coordinates: minimal bodies, no remapping
@@ -524,8 +526,9 @@ def cmd_mwscs(args) -> int:
     inst = KeyHornInstance(n, sperner_minimal(raw))
     g = body_graph_c(inst)
     arcs, weight = mwscs_2approx(g)
+    # a single body is strongly connected on its own and has no entering arc
     entering = sum(
-        min(g.weight[u][v] for u in range(g.m) if u != v) for v in range(g.m)
+        min((g.weight[u][v] for u in range(g.m) if u != v), default=0) for v in range(g.m)
     )
     out = {
         "format": 1,

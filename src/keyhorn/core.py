@@ -372,6 +372,10 @@ def equivalent(phi1: HornCNF, phi2: HornCNF) -> bool:
     return True
 
 
+class VerificationError(RuntimeError):
+    """An emitted formula failed its forward-chaining check."""
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of a representation check, with a rejection certificate.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import approx
@@ -130,36 +131,30 @@ class _ClauseSearch:
     Every variable needs at least one clause with that head, so a candidate
     formula is an assignment of a nonempty body subset to each head; heads
     are filled in order, subsets tried cheapest-first, and branches are cut
-    against the incumbent plus the cheapest possible completion.
+    against the incumbent plus the cheapest possible completion.  The choice
+    is kept as one head mask per body, which the leaf check and the witness
+    both read.
     """
 
     def __init__(self, inst: KeyHornInstance, weights: list[int], deadline: Optional[float]):
         self.n = inst.n
-        self.m = inst.m
         self.body_masks = [b.mask for b in inst.bodies]
+        self.heads_of = [0] * inst.m
         self.deadline = deadline
         self.ticks = 0
         # per head: nonempty body-index subsets sorted by (weight, indices)
         self.head_options: list[list[tuple[int, tuple[int, ...]]]] = []
         for v in range(1, self.n + 1):
-            avail = [i for i in range(self.m) if v not in inst.bodies[i]]
+            avail = [i for i in range(inst.m) if v not in inst.bodies[i]]
             assert avail, "normalized instances leave every variable a choice"
-            opts: list[tuple[int, tuple[int, ...]]] = []
-            for sub in range(1, 1 << len(avail)):
-                combo = tuple(avail[t] for t in range(len(avail)) if sub >> t & 1)
-                opts.append((sum(weights[i] for i in combo), combo))
-            opts.sort()
-            self.head_options.append(opts)
-        self.min_head_cost = [opts[0][0] for opts in self.head_options]
+            combos = [c for r in range(1, len(avail) + 1) for c in combinations(avail, r)]
+            self.head_options.append(sorted((sum(weights[i] for i in c), c) for c in combos))
         self.suffix_min = [0] * (self.n + 1)
         for v in range(self.n - 1, -1, -1):
-            self.suffix_min[v] = self.suffix_min[v + 1] + self.min_head_cost[v]
+            self.suffix_min[v] = self.suffix_min[v + 1] + self.head_options[v][0][0]
 
-    def _feasible(self, chosen: list[tuple[int, ...]]) -> bool:
-        heads_of = [0] * self.m
-        for v0, combo in enumerate(chosen):
-            for i in combo:
-                heads_of[i] |= 1 << v0
+    def _feasible(self) -> bool:
+        heads_of = self.heads_of
         full = (1 << self.n) - 1
         for start in self.body_masks:
             reached = start
@@ -176,13 +171,13 @@ class _ClauseSearch:
                 return False
         return True
 
-    def run(self, incumbent: int) -> tuple[int, Optional[list[tuple[int, ...]]]]:
+    def run(self, incumbent: int) -> tuple[int, Optional[list[int]]]:
         self.best = incumbent
-        self.best_choice: Optional[list[tuple[int, ...]]] = None
-        self._dfs(0, 0, [])
-        return self.best, self.best_choice
+        self.best_heads: Optional[list[int]] = None
+        self._dfs(0, 0)
+        return self.best, self.best_heads
 
-    def _dfs(self, v: int, cost: int, chosen: list[tuple[int, ...]]) -> None:
+    def _dfs(self, v: int, cost: int) -> None:
         if self.deadline is not None and self.ticks & 63 == 0:
             if time.monotonic() > self.deadline:
                 raise _Timeout
@@ -190,52 +185,41 @@ class _ClauseSearch:
         if cost + self.suffix_min[v] >= self.best:
             return
         if v == self.n:
-            if self._feasible(chosen):
+            if self._feasible():
                 self.best = cost
-                self.best_choice = list(chosen)
+                self.best_heads = list(self.heads_of)
             return
+        heads_of = self.heads_of
+        bit = 1 << v
         for w, combo in self.head_options[v]:
             if cost + w + self.suffix_min[v + 1] >= self.best:
                 break  # options are weight-sorted
-            chosen.append(combo)
-            self._dfs(v + 1, cost + w, chosen)
-            chosen.pop()
-
-
-def _formula_from_choice(inst: KeyHornInstance, chosen: Sequence[tuple[int, ...]]) -> HornCNF:
-    heads_of: dict[int, list[int]] = {}
-    for v0, combo in enumerate(chosen):
-        for i in combo:
-            heads_of.setdefault(i, []).append(v0 + 1)
-    groups = [
-        ClauseGroup(inst.bodies[i], VarSet(inst.n, vs)) for i, vs in heads_of.items()
-    ]
-    return HornCNF(inst.n, groups)
+            for i in combo:
+                heads_of[i] |= bit
+            self._dfs(v + 1, cost + w)
+            for i in combo:
+                heads_of[i] ^= bit
 
 
 def _search_weighted(
-    inst: KeyHornInstance,
+    table: approx.CandidateTable,
     weights: list[int],
     seed_mu: Measure,
     deadline: Optional[float],
 ) -> OptResult:
-    seed = approx.minimize(inst, seed_mu)
+    """Clause search under ``weights`` below the table's best ``seed_mu``
+    result, whose groups all sit on instance bodies: its cost is its size."""
+    seed = table.best(seed_mu)
+    inst = table.inst
     search = _ClauseSearch(inst, weights, deadline)
     try:
-        best, choice = search.run(_clause_cost(seed.formula, inst, weights) + 1)
+        best, heads = search.run(seed.size + 1)
     except _Timeout:
         return OptResult(seed.size, seed.formula, False)
     # the seed formula lives in the searched space, so something was found
-    assert choice is not None
-    return OptResult(best, _formula_from_choice(inst, choice), True)
-
-
-def _clause_cost(phi: HornCNF, inst: KeyHornInstance, weights: list[int]) -> int:
-    by_mask = {b.mask: i for i, b in enumerate(inst.bodies)}
-    total = 0
-    for g in phi.groups:
-        total += weights[by_mask[g.body.mask]] * len(g.heads)
-    return total
+    assert heads is not None
+    groups = [ClauseGroup(b, VarSet.from_mask(inst.n, h)) for b, h in zip(inst.bodies, heads)]
+    return OptResult(best, HornCNF(inst.n, groups), True)
 
 
 def opt_exact(
@@ -271,8 +255,7 @@ def _opt_exact(
 ) -> dict[Measure, OptResult]:
     """The optima of ``measures`` under one cap check and one deadline,
     running only the searches they need."""
-    if not inst.is_normalized:
-        raise ValueError("instance must be normalized (covering and coreless)")
+    table = approx.CandidateTable(inst)  # rejects an unnormalized instance
     n_cands = sum(inst.n - len(b) for b in inst.bodies)
     if n_cands > max_candidates:
         raise SearchLimitError(
@@ -281,7 +264,7 @@ def _opt_exact(
     deadline = None if timeout is None else time.monotonic() + timeout
     out: dict[Measure, OptResult] = {}
     if any(mu is not Measure.L for mu in measures):
-        unit = _search_weighted(inst, [1] * inst.m, Measure.C, deadline)
+        unit = _search_weighted(table, [1] * inst.m, Measure.C, deadline)
         sum_bodies = sum(len(b) for b in inst.bodies)
         sizes = {
             Measure.B: inst.m,
@@ -293,5 +276,5 @@ def _opt_exact(
         out = {mu: replace(unit, size=sizes[mu]) for mu in measures if mu in sizes}
     if Measure.L in measures:
         weights = [len(b) + 1 for b in inst.bodies]
-        out[Measure.L] = _search_weighted(inst, weights, Measure.L, deadline)
+        out[Measure.L] = _search_weighted(table, weights, Measure.L, deadline)
     return out

@@ -27,6 +27,20 @@ from keyhorn.graph import BodyGraph
 from keyhorn.gen import GenerationError
 
 
+def counting(monkeypatch, module, name) -> list[tuple]:
+    """Wrap ``module.name`` so that each call's positional arguments are
+    recorded in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_raw_family(rng: random.Random, max_n: int = 8) -> tuple[int, list[VarSet]]:
     """Raw body family: possibly comparable, duplicated, non-covering."""
     n = rng.randint(2, max_n)

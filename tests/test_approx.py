@@ -21,7 +21,7 @@ from keyhorn import (
 
 from keyhorn import approx, cli
 
-from helpers import random_instances
+from helpers import counting, random_instances
 
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
 SINGLETONS = KeyHornInstance(3, [VarSet(3, [1]), VarSet(3, [2]), VarSet(3, [3])])
@@ -180,18 +180,6 @@ class TestMinimize:
             assert minimize(inst, Measure.L).size <= procedure2(inst).size
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestCandidateTable:
     def test_cycle_measures_build_no_procedure(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -205,7 +193,7 @@ class TestCandidateTable:
 
     def test_each_candidate_built_once_per_instance(self, monkeypatch):
         names = ("hamiltonian_formula", "procedure1", "procedure2", "lower_bound_partition_c")
-        calls = {name: _counting(monkeypatch, approx, name) for name in names}
+        calls = {name: counting(monkeypatch, approx, name) for name in names}
         minimize_all(random_instances(1, 3300)[0])
         for name in ("hamiltonian_formula", "procedure1", "procedure2"):
             assert len(calls[name]) == 1
@@ -216,7 +204,7 @@ class TestCandidateTable:
         inst = random_instances(1, 3400)[0]
         path = tmp_path / "r.bodies"
         path.write_text(cli.write_bodies(inst.n, inst.bodies))
-        calls = _counting(monkeypatch, approx, "hamiltonian_formula")
+        calls = counting(monkeypatch, approx, "hamiltonian_formula")
         argv = ["minimize", "--in", str(path), "--measure", "all", "--strategy", "hamiltonian"]
         assert cli.main(argv) == 0
         assert len(calls) == 1

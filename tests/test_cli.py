@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from keyhorn import HornCNF, VarSet, cli
+from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli
 from keyhorn.cli import (
     ParseError,
     main,
@@ -297,3 +297,53 @@ class TestOtherCommands:
     def test_mwscs_projective_mismatch(self, tri_file, capsys):
         rc = main(["mwscs", "--in", tri_file, "--projective-d", "2"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text", ["p keyhorn 3 1\n1 2\n", "p keyhorn 4 2\n1 2\n1 2 3\n"], ids=["one", "superset"]
+    )
+    def test_mwscs_single_minimal_body(self, tmp_path, capsys, text):
+        p = tmp_path / "one.bodies"
+        p.write_text(text)
+        assert main(["mwscs", "--in", str(p)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["nodes"] == 1
+        assert report["weight"] == report["arc_count"] == report["entering_arc_bound"] == 0
+
+
+def _drop_first_group(real):
+    def lossy(*args, **kwargs):
+        phi = real(*args, **kwargs)
+        return HornCNF(phi.n, phi.groups[1:])
+
+    return lossy
+
+
+class TestVerificationFailures:
+    """A formula that fails its check ends in exit 3, one line on stderr and
+    no written file, whichever command and branch produced it."""
+
+    @staticmethod
+    def _fails(argv, out, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("keyhorn: verification failed: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["minimize", "exact"])
+    def test_lifted_witness(self, tri_file, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "lift", _drop_first_group(cli.lift))
+        out = tmp_path / "w.horn"
+        self._fails([command, "--in", tri_file, "--measure", "C", "--out", str(out)], out, capsys)
+
+    @pytest.mark.parametrize("command", ["minimize", "exact"])
+    def test_single_body_witness(self, tmp_path, capsys, monkeypatch, command):
+        p = tmp_path / "one.bodies"
+        p.write_text("p keyhorn 3 1\n1 2\n")
+        monkeypatch.setattr(cli, "trivial_formula", lambda triv: HornCNF(triv.n))
+        out = tmp_path / "w.horn"
+        self._fails([command, "--in", str(p), "--measure", "C", "--out", str(out)], out, capsys)
+
+    def test_candidate_check(self, tri_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(approx, "verify_representation", lambda phi, inst: VerifyResult(False))
+        out = tmp_path / "w.horn"
+        self._fails(["minimize", "--in", tri_file, "--measure", "C", "--out", str(out)], out, capsys)

@@ -22,9 +22,9 @@ from keyhorn import (
     verify_representation,
 )
 
-from keyhorn import exact
+from keyhorn import approx, exact
 
-from helpers import random_instances, random_subset
+from helpers import counting, random_instances, random_subset
 
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
 SINGLETONS = KeyHornInstance(3, [VarSet(3, [1]), VarSet(3, [2]), VarSet(3, [3])])
@@ -230,3 +230,11 @@ class TestOptExact:
         monkeypatch.setattr(exact, "_search_weighted", counted)
         run(TRIANGLE)
         assert calls == searches
+
+    def test_one_candidate_table_seeds_both_searches(self, monkeypatch):
+        names = ("hamiltonian_formula", "procedure1", "procedure2", "minimize")
+        calls = {name: counting(monkeypatch, approx, name) for name in names}
+        opt_exact_all(random_instances(1, 4500)[0])
+        for name in ("hamiltonian_formula", "procedure1", "procedure2"):
+            assert len(calls[name]) == 1
+        assert calls["minimize"] == []

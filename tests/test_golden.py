@@ -12,6 +12,7 @@ from keyhorn import MEASURES, gen_projective, gen_random
 from keyhorn.cli import main, write_bodies
 
 GOLDEN_SHA256 = "028ff485b453cf931549d0a07e683d144efa0a90d03d7d1bf57687e9d34d0da5"
+GOLDEN_WITNESS_SHA256 = "e6d0ff7ee8609cb0c00505eeca8454ebece9bd5dc3772eea4ca97c216f096cc7"
 
 STRATEGIES = ("auto", "hamiltonian", "procedure1", "procedure2")
 
@@ -55,3 +56,28 @@ def test_cli_reports_match_golden_digest(tmp_path, capsys):
                 h.update(part.encode())
                 h.update(b"\0")
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+def _witness_digest(tmp_path, capsys) -> str:
+    """sha256 over the exit code and the ``--out`` file of ``minimize`` and
+    ``exact`` for every single measure on every corpus file."""
+    h = hashlib.sha256()
+    out = tmp_path / "witness.horn"
+    for name, text in sorted(_corpus().items()):
+        path = tmp_path / f"{name}.bodies"
+        path.write_text(text)
+        for command, extra in (("minimize", []), ("exact", ["--max-candidates", "20"])):
+            for mu in MEASURES:
+                out.unlink(missing_ok=True)
+                argv = [command, "--in", str(path), "--measure", str(mu), "--out", str(out), *extra]
+                rc = main(argv)
+                capsys.readouterr()
+                written = out.read_text() if out.exists() else "<no file>"
+                for part in (f"{command} {name} {mu}", str(rc), written):
+                    h.update(part.encode())
+                    h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_cli_witness_files_match_golden_digest(tmp_path, capsys):
+    assert _witness_digest(tmp_path, capsys) == GOLDEN_WITNESS_SHA256
