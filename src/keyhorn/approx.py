@@ -143,25 +143,10 @@ def hamiltonian_formula(inst: KeyHornInstance, order: Optional[Sequence[int]] = 
     return _verified(HornCNF(inst.n, groups), inst)
 
 
-def _scored(
-    inst: KeyHornInstance, phi: HornCNF, mu: Measure, strategy: str, lb: int
-) -> MinimizationResult:
-    """A candidate as a ``mu`` result with its own guarantee: that is
-    ``guarantee_factor``, except that the cycle only guarantees k for C, BC
-    and L, whose factors rest on the arborescence constructions."""
-    if strategy == STRATEGY_HAMILTONIAN and mu not in (Measure.B, Measure.BA, Measure.TA):
-        guarantee = Fraction(inst.k)
-    else:
-        guarantee = guarantee_factor(inst, mu)
-    return MinimizationResult(phi, mu, measure_size(phi, mu), lb, guarantee, strategy)
-
-
-def procedure1(inst: KeyHornInstance, mu: Measure = Measure.C) -> MinimizationResult:
+def procedure1(inst: KeyHornInstance) -> HornCNF:
     """Clause-count minimizer: a minimum clause-cost spanning in-arborescence
     routes every body's chaining to a root body, which then implies the rest
     of the universe directly."""
-    if mu not in STRATEGY_TARGETS[STRATEGY_PROCEDURE1]:
-        raise ValueError(f"arborescence construction covers C and BC, got {mu}")
     _require_normalized(inst)
     g = body_graph_c(inst)
     arb = min_in_arborescence(g)
@@ -171,11 +156,10 @@ def procedure1(inst: KeyHornInstance, mu: Measure = Measure.C) -> MinimizationRe
     ]
     root_body = bodies[arb.root]
     groups.append(ClauseGroup(root_body, root_body.complement()))
-    formula = _verified(HornCNF(inst.n, groups), inst)
-    return _scored(inst, formula, mu, STRATEGY_PROCEDURE1, lower_bound(inst, mu))
+    return _verified(HornCNF(inst.n, groups), inst)
 
 
-def procedure2(inst: KeyHornInstance) -> MinimizationResult:
+def procedure2(inst: KeyHornInstance) -> HornCNF:
     """Literal-count minimizer: a minimum literal-cost spanning
     in-arborescence rooted at a smallest body, each tree arc realized by its
     shortest-path chain formula, plus the root's full clause group."""
@@ -189,8 +173,7 @@ def procedure2(inst: KeyHornInstance) -> MinimizationResult:
         groups.extend(lambda_formula(inst, bodies[x], bodies[s]).formula.groups)
     root_body = bodies[root]
     groups.append(ClauseGroup(root_body, root_body.complement()))
-    formula = _verified(HornCNF(inst.n, groups), inst)
-    return _scored(inst, formula, Measure.L, STRATEGY_PROCEDURE2, lower_bound(inst, Measure.L))
+    return _verified(HornCNF(inst.n, groups), inst)
 
 
 # the measures each candidate is built for; the cycle represents all six
@@ -201,23 +184,19 @@ STRATEGY_TARGETS = {
 }
 
 # the constructions are looked up by name at call time, so a rebinding of
-# them (as by the benchmark's span tracer) is seen; each gives its formula
-# and the lower bounds it has already computed
+# them (as by the benchmark's span tracer) is seen
 _BUILD = {
-    STRATEGY_HAMILTONIAN: lambda inst: (hamiltonian_formula(inst), {}),
-    STRATEGY_PROCEDURE1: lambda inst: _formula_and_bound(procedure1(inst)),
-    STRATEGY_PROCEDURE2: lambda inst: _formula_and_bound(procedure2(inst)),
+    STRATEGY_HAMILTONIAN: lambda inst: hamiltonian_formula(inst),
+    STRATEGY_PROCEDURE1: lambda inst: procedure1(inst),
+    STRATEGY_PROCEDURE2: lambda inst: procedure2(inst),
 }
-
-
-def _formula_and_bound(res: MinimizationResult) -> tuple[HornCNF, dict[Measure, int]]:
-    return res.formula, {res.measure: res.lower_bound}
 
 
 class CandidateTable:
     """The candidates of one normalized instance (the Hamiltonian cycle and
     Procedures 1 and 2), each built and verified on first use and shared by
-    every measure, as are the lower bounds."""
+    every measure.  The table is the one place that scores a candidate, and
+    it computes each lower bound once."""
 
     def __init__(self, inst: KeyHornInstance):
         _require_normalized(inst)
@@ -226,16 +205,21 @@ class CandidateTable:
         self._bounds: dict[Measure, int] = {}
 
     def score(self, strategy: str, mu: Measure) -> MinimizationResult:
-        """One candidate as a ``mu`` result with its own guarantee."""
+        """One candidate as a ``mu`` result with its own guarantee: that is
+        ``guarantee_factor``, except that the cycle only guarantees k for C,
+        BC and L, whose factors rest on the arborescence constructions."""
         if mu not in STRATEGY_TARGETS[strategy]:
             raise ValueError(f"{strategy} does not construct a {mu} representation")
         if strategy not in self._formulas:
-            self._formulas[strategy], bounds = _BUILD[strategy](self.inst)
-            for nu, bound in bounds.items():
-                self._bounds.setdefault(nu, bound)
+            self._formulas[strategy] = _BUILD[strategy](self.inst)
         if mu not in self._bounds:
             self._bounds[mu] = lower_bound(self.inst, mu)
-        return _scored(self.inst, self._formulas[strategy], mu, strategy, self._bounds[mu])
+        if strategy == STRATEGY_HAMILTONIAN and mu not in (Measure.B, Measure.BA, Measure.TA):
+            guarantee = Fraction(self.inst.k)
+        else:
+            guarantee = guarantee_factor(self.inst, mu)
+        phi = self._formulas[strategy]
+        return MinimizationResult(phi, mu, measure_size(phi, mu), self._bounds[mu], guarantee, strategy)
 
     def best(self, mu: Measure) -> MinimizationResult:
         """B/BA are exact and TA is 2-approximate with the cycle; C/BC and L

@@ -29,7 +29,6 @@ from .approx import (
     STRATEGY_TARGETS,
     lower_bound,
     lower_bound_partition_c,
-    minimize_all,
 )
 from .core import (
     HornCNF,
@@ -42,9 +41,8 @@ from .core import (
     measure_size,
     verify_against_family,
 )
-from .exact import SearchLimitError, opt_exact_all, price_l_exact
+from .exact import opt_exact_all, price_l_exact
 from .gen import (
-    GenerationError,
     gen_hydra,
     gen_projective,
     gen_random,
@@ -94,25 +92,41 @@ def _parse_vars(lineno: int, tokens: Sequence[str], n: int) -> VarSet:
     return VarSet(n, seen)
 
 
-def parse_bodies(text: str) -> tuple[int, list[VarSet]]:
-    """Parse a ``.bodies`` instance file; returns (n, bodies in file order)."""
+# per header kind: the count's letter, its least value, the message head for
+# sizes out of range, and what one content line holds
+_HEADERS = {
+    "keyhorn": ("m", 1, "header needs n >= 1 and m >= 1, got", "body"),
+    "horn": ("g", 0, "bad sizes in header", "group"),
+}
+
+
+def _read_header(text: str, kind: str) -> tuple[int, list[tuple[int, str]]]:
+    """The ``p <kind> <n> <count>`` header's n, and the count content lines
+    that follow it as (line number, line) pairs."""
+    letter, least, bad_sizes, noun = _HEADERS[kind]
     lines = list(_significant_lines(text))
     if not lines:
-        raise ParseError(1, "missing 'p keyhorn <n> <m>' header")
+        raise ParseError(1, f"missing 'p {kind} <n> <{letter}>' header")
     lineno, header = lines[0]
     tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "keyhorn":
+    if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != kind:
         raise ParseError(lineno, f"malformed header {header!r}")
     try:
-        n, m = int(tokens[2]), int(tokens[3])
+        n, count = int(tokens[2]), int(tokens[3])
     except ValueError:
         raise ParseError(lineno, f"malformed header {header!r}")
-    if n < 1 or m < 1:
-        raise ParseError(lineno, f"header needs n >= 1 and m >= 1, got {header!r}")
-    body_lines = lines[1:]
-    if len(body_lines) != m:
-        where = body_lines[m][0] if len(body_lines) > m else lineno
-        raise ParseError(where, f"expected exactly {m} body lines, got {len(body_lines)}")
+    if n < 1 or count < least:
+        raise ParseError(lineno, f"{bad_sizes} {header!r}")
+    content = lines[1:]
+    if len(content) != count:
+        where = content[count][0] if len(content) > count else lineno
+        raise ParseError(where, f"expected exactly {count} {noun} lines, got {len(content)}")
+    return n, content
+
+
+def parse_bodies(text: str) -> tuple[int, list[VarSet]]:
+    """Parse a ``.bodies`` instance file; returns (n, bodies in file order)."""
+    n, body_lines = _read_header(text, "keyhorn")
     bodies = []
     for bl, line in body_lines:
         body = _parse_vars(bl, line.split(), n)
@@ -136,23 +150,7 @@ def write_bodies(n: int, bodies: Iterable[VarSet], comment: Optional[str] = None
 
 def parse_horn(text: str) -> HornCNF:
     """Parse a ``.horn`` formula file; accepts duplicates and canonicalizes."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise ParseError(1, "missing 'p horn <n> <g>' header")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "horn":
-        raise ParseError(lineno, f"malformed header {header!r}")
-    try:
-        n, g = int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise ParseError(lineno, f"malformed header {header!r}")
-    if n < 1 or g < 0:
-        raise ParseError(lineno, f"bad sizes in header {header!r}")
-    group_lines = lines[1:]
-    if len(group_lines) != g:
-        where = group_lines[g][0] if len(group_lines) > g else lineno
-        raise ParseError(where, f"expected exactly {g} group lines, got {len(group_lines)}")
+    n, group_lines = _read_header(text, "horn")
     groups = []
     for gl, line in group_lines:
         if line.count("->") != 1:
@@ -205,12 +203,12 @@ def _result_block(res: MinimizationResult, lifted_size: int) -> dict:
     return block
 
 
+def _instance_block(inst: KeyHornInstance) -> dict:
+    return {"n": inst.n, "m": inst.m, "k": inst.k, "delta": inst.delta}
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +219,23 @@ def _digest(text: str) -> str:
 def _read_file(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _write_file(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _load(args) -> tuple[int, list[VarSet], dict]:
+    """The ``--in`` file parsed, with the report head that names it."""
+    text = _read_file(args.infile)
+    n, raw = parse_bodies(text)
+    head = {
+        "format": 1,
+        "version": __version__,
+        "input_digest": "sha256:" + hashlib.sha256(text.encode()).hexdigest(),
+    }
+    return n, raw, head
 
 
 def _measure_list(args) -> list[Measure]:
@@ -243,40 +258,29 @@ def _verified_lift(
 
 
 def cmd_minimize(args) -> int:
-    text = _read_file(args.infile)
-    n, raw = parse_bodies(text)
+    n, raw, report = _load(args)
     measures = _measure_list(args)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
-    report = {
-        "format": 1,
-        "version": __version__,
-        "input_digest": _digest(text),
-        "input": {"n": n, "m": len(raw)},
-    }
+    report["input"] = {"n": n, "m": len(raw)}
     results_block = {}
     out_formula: Optional[HornCNF] = None
     try:
         t1 = time.perf_counter()
         inst, rec = normalize(n, raw)
         timings["normalize_ms"] = (time.perf_counter() - t1) * 1000
-        report["instance"] = {
-            "n": inst.n,
-            "m": inst.m,
-            "k": inst.k,
-            "delta": inst.delta,
-        }
+        report["instance"] = _instance_block(inst)
         t1 = time.perf_counter()
+        table = CandidateTable(inst)
         if args.strategy == "auto":
-            per_measure = minimize_all(inst)
+            per_measure = {mu: table.best(mu) for mu in measures}
         else:
             targets = STRATEGY_TARGETS[args.strategy]
             if any(mu not in targets for mu in measures):
                 noun = "measures" if len(targets) > 1 else "measure"
                 what = " and ".join(map(str, targets))
                 raise ValueError(f"--strategy {args.strategy} applies to {noun} {what} only")
-            table = CandidateTable(inst)
             per_measure = {mu: table.score(args.strategy, mu) for mu in measures}
         timings["minimize_ms"] = (time.perf_counter() - t1) * 1000
         t1 = time.perf_counter()
@@ -295,12 +299,7 @@ def cmd_minimize(args) -> int:
         timings["lift_verify_ms"] = (time.perf_counter() - t1) * 1000
     except TrivialInstance as triv:
         phi = _verified_lift(trivial_formula(triv), None, n, raw, "trivial representation")
-        report["instance"] = {
-            "n": triv.n,
-            "m": 1,
-            "k": len(triv.body),
-            "delta": len(triv.body),
-        }
+        report["instance"] = _instance_block(KeyHornInstance(triv.n, [triv.body]))
         for mu in measures:
             size = measure_size(phi, mu)
             res = MinimizationResult(phi, mu, size, size, Fraction(1), STRATEGY_EXACT)
@@ -313,18 +312,16 @@ def cmd_minimize(args) -> int:
         report["timings_ms"] = {k: round(v, 3) for k, v in timings.items()}
 
     if args.out and out_formula is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_horn(out_formula))
+        _write_file(args.out, write_horn(out_formula))
     payload = _dump_json(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_file(args.report, payload)
     sys.stdout.write(payload)
     return 0
 
 
 def cmd_verify(args) -> int:
-    n, raw = parse_bodies(_read_file(args.infile))
+    n, raw, _head = _load(args)
     phi = parse_horn(_read_file(args.formula))
     res = verify_against_family(phi, n, raw)
     out = {"ok": res.ok}
@@ -346,10 +343,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    text = _read_file(args.infile)
-    n, raw = parse_bodies(text)
+    n, raw, report = _load(args)
     measures = _measure_list(args)
-    report = {"format": 1, "version": __version__, "input_digest": _digest(text)}
     results = {}
     # with --out there is exactly one measure (see _measure_list)
     witness: Optional[HornCNF] = None
@@ -370,22 +365,19 @@ def cmd_exact(args) -> int:
         if args.out:
             witness = _verified_lift(phi, None, n, raw, "trivial representation")
     if witness is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(write_horn(witness))
+        _write_file(args.out, write_horn(witness))
     report["results"] = results
     sys.stdout.write(_dump_json(report))
     return 0
 
 
 def cmd_bounds(args) -> int:
-    text = _read_file(args.infile)
-    n, raw = parse_bodies(text)
-    report = {"format": 1, "version": __version__, "input_digest": _digest(text)}
+    n, raw, report = _load(args)
     try:
         inst, _rec = normalize(n, raw)
         bounds = {str(mu): lower_bound(inst, mu) for mu in MEASURES}
         bounds["C_partition"] = lower_bound_partition_c(inst)
-        report["instance"] = {"n": inst.n, "m": inst.m, "k": inst.k, "delta": inst.delta}
+        report["instance"] = _instance_block(inst)
         report["lower_bounds"] = bounds
     except TrivialInstance as triv:
         phi = trivial_formula(triv)
@@ -407,8 +399,7 @@ def _parse_var_list(text: str, n: int) -> VarSet:
 
 
 def cmd_price(args) -> int:
-    text = _read_file(args.infile)
-    n, raw = parse_bodies(text)
+    n, raw, _head = _load(args)
     src = _parse_var_list(getattr(args, "from"), n)
     dst = _parse_var_list(args.to, n)
     out = {"measure": args.measure, "from": sorted(src), "to": sorted(dst)}
@@ -435,8 +426,7 @@ def cmd_price(args) -> int:
 
 def _write_or_print(args, body_text: str, stats: Optional[dict]) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body_text)
+        _write_file(args.out, body_text)
         if stats is not None:
             sys.stdout.write(_dump_json(stats))
     else:
@@ -451,7 +441,7 @@ def cmd_gen(args) -> int:
             inst.bodies,
             comment=f"random n={args.n} m={args.m} k={args.k} seed={args.seed}",
         )
-        stats = {"n": inst.n, "m": inst.m, "k": inst.k, "delta": inst.delta}
+        stats = _instance_block(inst)
         _write_or_print(args, text, stats if args.out else None)
         return 0
     if args.kind == "hydra":
@@ -476,8 +466,7 @@ def cmd_gen(args) -> int:
             "certificate_c_size": measure_size(pinst.certificate, Measure.C),
         }
         if args.cert:
-            with open(args.cert, "w", encoding="utf-8") as fh:
-                fh.write(write_horn(pinst.certificate))
+            _write_file(args.cert, write_horn(pinst.certificate))
         _write_or_print(args, text, stats if args.out else None)
         return 0
     if args.kind == "sat3":
@@ -502,9 +491,7 @@ def cmd_gen(args) -> int:
             ),
         }
         if args.out:
-            text = write_bodies(rinst.ground_n, rinst.bodies, comment="sat3 reduction")
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_file(args.out, write_bodies(rinst.ground_n, rinst.bodies, comment="sat3 reduction"))
         sys.stdout.write(_dump_json(stats))
         return 0
     raise ValueError(f"unknown generator {args.kind!r}")
@@ -521,8 +508,7 @@ def _detect_projective(inst: KeyHornInstance):
 
 
 def cmd_mwscs(args) -> int:
-    text = _read_file(args.infile)
-    n, raw = parse_bodies(text)
+    n, raw, _head = _load(args)
     inst = KeyHornInstance(n, sperner_minimal(raw))
     g = body_graph_c(inst)
     arcs, weight = mwscs_2approx(g)
@@ -670,14 +656,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (
-        ParseError,
-        GenerationError,
-        SearchLimitError,
-        NoBodyInSourceError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # ParseError, GenerationError, SearchLimitError and
+        # NoBodyInSourceError are all ValueErrors
         print(f"keyhorn: error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:

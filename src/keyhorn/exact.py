@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import approx
-from .core import MEASURES, ClauseGroup, HornCNF, KeyHornInstance, Measure, VarSet
+from .core import MEASURES, ClauseGroup, HornCNF, KeyHornInstance, Measure, VarSet, measure_size
 from .graph import NoBodyInSourceError
 
 
@@ -264,16 +264,15 @@ def _opt_exact(
     deadline = None if timeout is None else time.monotonic() + timeout
     out: dict[Measure, OptResult] = {}
     if any(mu is not Measure.L for mu in measures):
+        # the witness (or, after a timeout, the seed) gives every body one
+        # group, so its B and BA are the fixed m and body area, and its C is
+        # the unit search's size
         unit = _search_weighted(table, [1] * inst.m, Measure.C, deadline)
-        sum_bodies = sum(len(b) for b in inst.bodies)
-        sizes = {
-            Measure.B: inst.m,
-            Measure.BA: sum_bodies,
-            Measure.TA: sum_bodies + unit.size,
-            Measure.C: unit.size,
-            Measure.BC: inst.m + unit.size,
+        out = {
+            mu: replace(unit, size=measure_size(unit.formula, mu))
+            for mu in measures
+            if mu is not Measure.L
         }
-        out = {mu: replace(unit, size=sizes[mu]) for mu in measures if mu in sizes}
     if Measure.L in measures:
         weights = [len(b) + 1 for b in inst.bodies]
         out[Measure.L] = _search_weighted(table, weights, Measure.L, deadline)

@@ -143,9 +143,10 @@ def lift(
 ) -> HornCNF:
     """Translate a formula on the reduced instance back to original ids.
 
-    Core variables rejoin every body; each uncovered variable gets one
-    clause whose body is the smallest original minimal body (lexicographic
-    tie-break), which minimizes the area and literal cost of the addition.
+    Core variables rejoin every body; the uncovered variables become the
+    heads of one group whose body is the smallest original minimal body
+    (lexicographic tie-break), which minimizes the area and literal cost of
+    the addition.
     """
     if phi_reduced.n != len(rec.var_map):
         raise ValueError(
@@ -162,8 +163,7 @@ def lift(
         ClauseGroup(unmap(g.body) | core, unmap(g.heads)) for g in phi_reduced.groups
     ]
     if rec.uncovered:
-        kept = sperner_minimal(original_bodies)
-        bstar = min(kept, key=cmp_to_key(VarSet.compare))
-        for v in rec.uncovered:
-            groups.append(ClauseGroup(bstar, VarSet(n, (v,))))
+        # the canonical minimum has no strict subset, so it is a minimal body
+        bstar = min(original_bodies, key=cmp_to_key(VarSet.compare))
+        groups.append(ClauseGroup(bstar, rec.uncovered))
     return HornCNF(n, groups)

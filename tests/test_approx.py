@@ -105,26 +105,23 @@ class TestExactMeasures:
 
 class TestProcedure1:
     def test_singletons(self):
-        res = procedure1(SINGLETONS)
-        assert res.size == 4  # the cycle does better with 3
+        assert measure_size(procedure1(SINGLETONS), Measure.C) == 4  # the cycle does better with 3
 
     def test_triangle(self):
-        res = procedure1(TRIANGLE)
-        assert res.size == 3 and res.lower_bound == 3
+        assert measure_size(procedure1(TRIANGLE), Measure.C) == 3
+        assert lower_bound(TRIANGLE, Measure.C) == 3
 
     def test_pair(self):
-        res = procedure1(PAIR)
-        assert res.size == 2
+        assert measure_size(procedure1(PAIR), Measure.C) == 2
 
 
 class TestProcedure2:
     def test_triangle(self):
-        res = procedure2(TRIANGLE)
-        assert res.size == 9 and res.lower_bound == 9
+        assert measure_size(procedure2(TRIANGLE), Measure.L) == 9
+        assert lower_bound(TRIANGLE, Measure.L) == 9
 
     def test_pair(self):
-        res = procedure2(PAIR)
-        assert res.size == 4
+        assert measure_size(procedure2(PAIR), Measure.L) == 4
 
 
 class TestMinimize:
@@ -174,10 +171,10 @@ class TestMinimize:
     def test_best_of_never_worse_than_candidates(self):
         for inst in random_instances(30, 7700):
             for mu in (Measure.C, Measure.BC):
-                assert minimize(inst, mu).size <= procedure1(inst, mu).size
+                assert minimize(inst, mu).size <= measure_size(procedure1(inst), mu)
                 ham = hamiltonian_formula(inst)
                 assert minimize(inst, mu).size <= measure_size(ham, mu)
-            assert minimize(inst, Measure.L).size <= procedure2(inst).size
+            assert minimize(inst, Measure.L).size <= measure_size(procedure2(inst), Measure.L)
 
 
 class TestCandidateTable:
@@ -197,7 +194,7 @@ class TestCandidateTable:
         minimize_all(random_instances(1, 3300)[0])
         for name in ("hamiltonian_formula", "procedure1", "procedure2"):
             assert len(calls[name]) == 1
-        # once, in procedure1, whose C bound the table keeps
+        # once, for the table's C bound
         assert len(calls["lower_bound_partition_c"]) == 1
 
     def test_forced_cycle_for_all_measures_builds_it_once(self, tmp_path, monkeypatch, capsys):

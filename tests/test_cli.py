@@ -1,7 +1,13 @@
+import io
 import json
 import random
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli
 from keyhorn.cli import (
@@ -12,6 +18,8 @@ from keyhorn.cli import (
     write_bodies,
     write_horn,
 )
+
+from helpers import counting, random_instances
 
 TRIANGLE_TEXT = "c triangle\np keyhorn 3 3\n1 2\n2 3\n1 3\n"
 
@@ -169,6 +177,29 @@ class TestMinimizeCommand:
         assert report["results"]["C"]["lifted_size"] == report["results"]["C"]["size"] + 1
         pairs = [(sorted(g.body), sorted(g.heads)) for g in parse_horn(out.read_text()).groups]
         assert ([1, 2], [3, 4]) in pairs
+
+    def test_wide_uncovered_universe_reports_quickly(self, tmp_path, capsys):
+        n = 200_000
+        p = tmp_path / "wide.bodies"
+        p.write_text(f"p keyhorn {n} 2\n1 2\n3\n")
+        start = time.perf_counter()
+        assert main(["minimize", "--in", str(p), "--measure", "all"]) == 0
+        assert time.perf_counter() - start < 2.0
+        results = json.loads(capsys.readouterr().out)["results"]
+        # the n - 3 uncovered variables hang off the smallest body {3}
+        assert results["C"]["lifted_size"] == results["C"]["size"] + n - 3
+        assert results["L"]["lifted_size"] == results["L"]["size"] + 2 * (n - 3)
+
+    @pytest.mark.parametrize("measure, built", [("B", []), ("C", ["procedure1"])])
+    def test_single_measure_builds_only_what_it_needs(
+        self, tmp_path, capsys, monkeypatch, measure, built
+    ):
+        inst = random_instances(1, 3500)[0]
+        p = tmp_path / "r.bodies"
+        p.write_text(write_bodies(inst.n, inst.bodies))
+        calls = {name: counting(monkeypatch, approx, name) for name in ("procedure1", "procedure2")}
+        assert main(["minimize", "--in", str(p), "--measure", measure]) == 0
+        assert [name for name, seen in calls.items() if seen] == built
 
 
 class TestOtherCommands:
@@ -347,3 +378,85 @@ class TestVerificationFailures:
         monkeypatch.setattr(approx, "verify_representation", lambda phi, inst: VerifyResult(False))
         out = tmp_path / "w.horn"
         self._fails(["minimize", "--in", tri_file, "--measure", "C", "--out", str(out)], out, capsys)
+
+
+SEED_BODIES = (
+    TRIANGLE_TEXT,
+    "p keyhorn 4 2\n1 2\n1 3\n",
+    "p keyhorn 6 3\n1 2\n2 3 4\n5\n",
+    "p keyhorn 3 1\n1 2\n",
+)
+SEED_HORN = (
+    "p horn 3 3\n1 2 -> 3\n2 3 -> 1\n1 3 -> 2\n",
+    "p horn 4 2\n1 2 -> 3 4\n1 3 -> 2 4\n",
+    "p horn 3 0\n",
+)
+TOKENS = st.sampled_from(
+    ("0", "1", "2", "3", "5", "-1", "100000", "x", "1.5", "->", "p", "c", "keyhorn", "horn", "")
+) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+
+
+@st.composite
+def mutated(draw, seeds) -> str:
+    """A seed file with up to four edits: a token replaced, a header size
+    moved, a line dropped or doubled, or an arrow added or removed."""
+    lines = draw(st.sampled_from(seeds)).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        edit = draw(st.sampled_from(("token", "size", "drop", "double", "arrow")))
+        if edit == "token" and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TOKENS)
+            lines[i] = " ".join(tokens)
+        elif edit == "size":
+            head = lines[0].split()
+            if len(head) == 4 and head[2].isdigit() and head[3].isdigit():
+                pos = draw(st.sampled_from((2, 3)))
+                head[pos] = str(int(head[pos]) + draw(st.integers(-2, 2)))
+                lines[0] = " ".join(head)
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "double":
+            lines.insert(i, lines[i])
+        elif edit == "arrow":
+            if "->" in tokens:
+                tokens.remove("->")
+            else:
+                tokens.insert(draw(st.integers(0, len(tokens))), "->")
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestMutatedInputs:
+    """Every command on malformed or odd files ends with exit 0, 2 or 3 and
+    never raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mutated(SEED_BODIES),
+        mutated(SEED_HORN),
+        st.sampled_from(("1", "1 2", "2 3", "", "0", "x")),
+        st.sampled_from(("3", "2 3 4", "1", "")),
+    )
+    def test_every_command_exits_cleanly(self, bodies_text, horn_text, src, dst):
+        with tempfile.TemporaryDirectory() as tmp:
+            bodies, horn = Path(tmp) / "in.bodies", Path(tmp) / "f.horn"
+            bodies.write_text(bodies_text, encoding="utf-8")
+            horn.write_text(horn_text, encoding="utf-8")
+            runs = [
+                ["minimize", "--measure", "all"],
+                ["exact", "--measure", "all", "--max-candidates", "20"],
+                ["bounds"],
+                ["verify", "--formula", str(horn)],
+                ["price", "--measure", "C", "--from", src, "--to", dst],
+                ["price", "--measure", "L", "--from", src, "--to", dst],
+                ["price", "--measure", "L", "--exact", "--from", src, "--to", dst],
+                ["mwscs"],
+            ]
+            for argv in runs:
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                    code = main([argv[0], "--in", str(bodies), *argv[1:]])
+                assert code in (0, 2, 3), (argv, code)
+                assert "Traceback" not in err.getvalue()

@@ -280,7 +280,7 @@ class TestVerifyMatchesReference:
         rng = random.Random(4200)
         kinds = set()
         for inst in random_instances(60, 4200, n_range=(3, 9), m_range=(2, 7)):
-            candidates = (hamiltonian_formula(inst), procedure1(inst).formula, procedure2(inst).formula)
+            candidates = (hamiltonian_formula(inst), procedure1(inst), procedure2(inst))
             for phi in candidates:
                 for cand in (phi, _dropped_group(rng, phi), _dropped_head(rng, phi)):
                     fam = list(inst.bodies)

@@ -173,12 +173,14 @@ class TestOptExact:
         assert verify_representation(res.formula, SINGLETONS)
 
     def test_witness_verifies_and_matches(self):
-        for inst in random_instances(25, 1234):
-            for mu in (Measure.C, Measure.L):
-                res = opt_exact(inst, mu)
-                assert res.optimal
-                assert verify_representation(res.formula, inst)
-                assert measure_size(res.formula, mu) == res.size
+        # a timeout of -1 stops both searches at once, so the sizes then
+        # come from the seed formulas
+        for timeout in (None, -1.0):
+            for inst in random_instances(25, 1234):
+                for mu, res in opt_exact_all(inst, timeout=timeout).items():
+                    assert res.optimal == (timeout is None)
+                    assert verify_representation(res.formula, inst)
+                    assert measure_size(res.formula, mu) == res.size
 
     def test_b_ba_closed_forms(self):
         for inst in random_instances(25, 2345):
