@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .core import (
     ClauseGroup,
@@ -123,23 +122,15 @@ def _verified(formula: HornCNF, inst: KeyHornInstance) -> HornCNF:
     return formula
 
 
-def hamiltonian_formula(inst: KeyHornInstance, order: Optional[Sequence[int]] = None) -> HornCNF:
-    """Representation from a Hamiltonian cycle of the body graph: each body
-    implies the next body's missing variables.  A k-approximation for every
-    measure; the default cycle order is the instance's body order."""
+def hamiltonian_formula(inst: KeyHornInstance) -> HornCNF:
+    """Representation from the Hamiltonian cycle of the body graph in body
+    order: each body implies the next body's missing variables, the last
+    the first's.  A k-approximation for every measure."""
     _require_normalized(inst)
     if inst.m < 2:
         raise ValueError("a cycle needs at least two bodies")
-    if order is None:
-        order = range(inst.m)
-    order = list(order)
-    if sorted(order) != list(range(inst.m)):
-        raise ValueError("order must be a permutation of the body indices")
     bodies = inst.bodies
-    groups = []
-    for idx, i in enumerate(order):
-        j = order[(idx + 1) % inst.m]
-        groups.append(ClauseGroup(bodies[i], bodies[j] - bodies[i]))
+    groups = [ClauseGroup(b, nxt - b) for b, nxt in zip(bodies, bodies[1:] + bodies[:1])]
     return _verified(HornCNF(inst.n, groups), inst)
 
 

@@ -351,7 +351,7 @@ def cmd_exact(args) -> int:
     try:
         inst, rec = normalize(n, raw)
         all_opt = opt_exact_all(
-            inst, max_candidates=args.max_candidates, timeout=args.timeout
+            inst, max_candidates=args.max_candidates, timeout=args.timeout, measures=measures
         )
         for mu in measures:
             res = all_opt[mu]

@@ -102,7 +102,7 @@ class VarSet:
         return VarSet._raw(self.n, ((1 << self.n) - 1) ^ self.mask)
 
     def is_full(self) -> bool:
-        return self.mask == (1 << self.n) - 1
+        return len(self) == self.n
 
     def compare(self, other: "VarSet") -> int:
         """Total order by (cardinality, lexicographic element sequence).
@@ -273,13 +273,11 @@ class _Propagator:
     def __init__(self, phi: HornCNF):
         self.n = phi.n
         self.full_mask = (1 << phi.n) - 1
-        self.body_masks = [g.body.mask for g in phi.groups]
-        self.head_masks = [g.heads.mask for g in phi.groups]
-        occ: dict[int, list[int]] = {}
-        for gi, g in enumerate(phi.groups):
-            for v in g.body:
-                occ.setdefault(v, []).append(gi)
-        self.occ = occ
+        self.body_masks: list[int] = []
+        self.head_masks: list[int] = []
+        self.occ: dict[int, list[int]] = {}
+        for g in phi.groups:
+            self.add_group(g.body.mask, g.heads.mask)
 
     def add_group(self, bmask: int, hmask: int) -> None:
         """Append the group ``bmask -> hmask``.  Closures stay unchanged
@@ -468,11 +466,11 @@ class KeyHornInstance:
     def is_normalized(self) -> bool:
         """Covering (bodies union to V) and coreless (empty intersection)."""
         union = 0
-        inter = (1 << self.n) - 1
+        inter = self.bodies[0].mask
         for b in self.bodies:
             union |= b.mask
             inter &= b.mask
-        return union == (1 << self.n) - 1 and inter == 0
+        return union.bit_count() == self.n and inter == 0
 
     def psi(self) -> HornCNF:
         """The canonical representation: every body implies all other variables."""

@@ -171,11 +171,12 @@ class _ClauseSearch:
                 return False
         return True
 
-    def run(self, incumbent: int) -> tuple[int, Optional[list[int]]]:
+    def run(self, incumbent: int) -> None:
+        """Search below ``incumbent``; ``best`` and ``best_heads`` hold the
+        cheapest leaf found, also after a ``_Timeout``."""
         self.best = incumbent
         self.best_heads: Optional[list[int]] = None
         self._dfs(0, 0)
-        return self.best, self.best_heads
 
     def _dfs(self, v: int, cost: int) -> None:
         if self.deadline is not None and self.ticks & 63 == 0:
@@ -208,18 +209,26 @@ def _search_weighted(
     deadline: Optional[float],
 ) -> OptResult:
     """Clause search under ``weights`` below the table's best ``seed_mu``
-    result, whose groups all sit on instance bodies: its cost is its size."""
+    result, whose groups all sit on instance bodies: its cost is its size.
+    After a timeout the result is the best leaf found if it beats the seed,
+    else the seed."""
     seed = table.best(seed_mu)
     inst = table.inst
     search = _ClauseSearch(inst, weights, deadline)
     try:
-        best, heads = search.run(seed.size + 1)
+        search.run(seed.size + 1)
     except _Timeout:
-        return OptResult(seed.size, seed.formula, False)
-    # the seed formula lives in the searched space, so something was found
-    assert heads is not None
-    groups = [ClauseGroup(b, VarSet.from_mask(inst.n, h)) for b, h in zip(inst.bodies, heads)]
-    return OptResult(best, HornCNF(inst.n, groups), True)
+        if search.best >= seed.size:
+            return OptResult(seed.size, seed.formula, False)
+        optimal = False
+    else:
+        optimal = True
+    # a finished search finds at least the seed, which lies in its space
+    assert search.best_heads is not None
+    groups = [
+        ClauseGroup(b, VarSet.from_mask(inst.n, h)) for b, h in zip(inst.bodies, search.best_heads)
+    ]
+    return OptResult(search.best, HornCNF(inst.n, groups), optimal)
 
 
 def opt_exact(
@@ -228,33 +237,24 @@ def opt_exact(
     max_candidates: int = 28,
     timeout: Optional[float] = None,
 ) -> OptResult:
-    """Certified optimal ``mu``-size with a witness formula.
-
-    Feasible formulas all use every minimal body, so body count and body
-    area are fixed; clause count, bodies+clauses and total area share one
-    unit-weight search, and literal count is the same search with weight
-    |body| + 1 per clause.
-    """
-    return _opt_exact(inst, (mu,), max_candidates, timeout)[mu]
+    """Certified optimal ``mu``-size with a witness formula; see
+    ``opt_exact_all``."""
+    return opt_exact_all(inst, max_candidates, timeout, measures=(mu,))[mu]
 
 
 def opt_exact_all(
     inst: KeyHornInstance,
     max_candidates: int = 28,
     timeout: Optional[float] = None,
+    measures: Sequence[Measure] = MEASURES,
 ) -> dict[Measure, OptResult]:
-    """All six optima, running the two underlying searches once each."""
-    return _opt_exact(inst, MEASURES, max_candidates, timeout)
+    """The optima of ``measures`` under one cap check and one deadline.
 
-
-def _opt_exact(
-    inst: KeyHornInstance,
-    measures: Sequence[Measure],
-    max_candidates: int,
-    timeout: Optional[float],
-) -> dict[Measure, OptResult]:
-    """The optima of ``measures`` under one cap check and one deadline,
-    running only the searches they need."""
+    Feasible formulas all use every minimal body, so body count and body
+    area are fixed; clause count, bodies+clauses and total area share one
+    unit-weight search, and literal count is the same search with weight
+    |body| + 1 per clause.  Only the searches ``measures`` need are run.
+    """
     table = approx.CandidateTable(inst)  # rejects an unnormalized instance
     n_cands = sum(inst.n - len(b) for b in inst.bodies)
     if n_cands > max_candidates:
@@ -264,9 +264,9 @@ def _opt_exact(
     deadline = None if timeout is None else time.monotonic() + timeout
     out: dict[Measure, OptResult] = {}
     if any(mu is not Measure.L for mu in measures):
-        # the witness (or, after a timeout, the seed) gives every body one
-        # group, so its B and BA are the fixed m and body area, and its C is
-        # the unit search's size
+        # the result, a search leaf or the seed, gives every body one group,
+        # so its B and BA are the fixed m and body area, and its C is the
+        # unit search's size
         unit = _search_weighted(table, [1] * inst.m, Measure.C, deadline)
         out = {
             mu: replace(unit, size=measure_size(unit.formula, mu))

@@ -136,16 +136,14 @@ class ProjectiveInstance:
 
     Points are the cyclic group Z_n (n = 2^(dim+1) - 1) via a Singer cycle,
     stored 1-based.  ``hyperplane`` is the unique hyperplane containing
-    points {0, ..., dim-1}; ``interval`` is the point window {0, ..., dim}.
-    ``bodies`` holds all n cyclic shifts of each, hyperplane shifts first.
+    points {0, ..., dim-1}.  ``bodies`` holds all n cyclic shifts of it and
+    of the point window {0, ..., dim}, hyperplane shifts first.
     ``certificate`` is a representation witnessing a small clause count.
     """
 
     dim: int
-    q: int
     n: int
     hyperplane: VarSet
-    interval: VarSet
     bodies: tuple[VarSet, ...]
     certificate: HornCNF
 
@@ -211,10 +209,8 @@ def gen_projective(d: int) -> ProjectiveInstance:
 
     return ProjectiveInstance(
         dim=d,
-        q=2,
         n=n,
         hyperplane=to_vs(x0),
-        interval=to_vs(interval0),
         bodies=bodies,
         certificate=certificate,
     )

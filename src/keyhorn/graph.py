@@ -389,19 +389,6 @@ def _min_arborescence(cols, root: int) -> list[int]:
     return parent
 
 
-def _rooted_in_arborescence(g: BodyGraph, root: int) -> InArborescence:
-    # an in-arborescence toward root is an out-arborescence from root in the
-    # reversed graph, whose in-columns are the rows of g; the reversed parent
-    # of x is exactly succ(x)
-    parent = _min_arborescence(g.weight, root)
-    return InArborescence(root, {x: t for x, t in enumerate(parent) if x != root})
-
-
-def _min_out_parents(g: BodyGraph, root: int) -> dict[int, int]:
-    parent = _min_arborescence(list(zip(*g.weight)), root)
-    return {x: t for x, t in enumerate(parent) if x != root}
-
-
 def _best_unrooted_root(g: BodyGraph) -> int:
     """Root minimizing the rooted in-arborescence weight, smallest index on
     ties.  One augmented run: a virtual root m gets an arc into every node,
@@ -435,7 +422,11 @@ def min_in_arborescence(g: BodyGraph, root: int | None = None) -> InArborescence
         return InArborescence(0 if root is None else root, {})
     if root is None:
         root = _best_unrooted_root(g)
-    return _rooted_in_arborescence(g, root)
+    # an in-arborescence toward root is an out-arborescence from root in the
+    # reversed graph, whose in-columns are the rows of g; the reversed parent
+    # of x is exactly succ(x)
+    succ = _min_arborescence(g.weight, root)
+    return InArborescence(root, {x: s for x, s in enumerate(succ) if x != root})
 
 
 def mwscs_2approx(g: BodyGraph) -> tuple[frozenset[tuple[int, int]], int]:
@@ -449,13 +440,12 @@ def mwscs_2approx(g: BodyGraph) -> tuple[frozenset[tuple[int, int]], int]:
     m = g.m
     if m == 1:
         return frozenset(), 0
+    cols = list(zip(*g.weight))  # in-columns of g; its rows give the in-arborescence
     best_arcs: frozenset[tuple[int, int]] | None = None
     best_w = None
     for r in range(m):
-        t_in = _rooted_in_arborescence(g, r)
-        out_parents = _min_out_parents(g, r)
-        arcs = {(x, s) for x, s in t_in.succ.items()}
-        arcs.update((u, v) for v, u in out_parents.items())
+        arcs = {(x, s) for x, s in enumerate(_min_arborescence(g.weight, r)) if x != r}
+        arcs.update((u, v) for v, u in enumerate(_min_arborescence(cols, r)) if v != r)
         w = sum(g.weight[u][v] for u, v in arcs)
         if best_w is None or w < best_w:
             best_arcs, best_w = frozenset(arcs), w

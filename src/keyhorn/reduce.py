@@ -49,28 +49,17 @@ class NormalizationRecord:
     """What ``normalize`` stripped, in original variable ids.
 
     ``var_map[i-1]`` is the original id of reduced variable ``i``;
-    ``removed_core`` lists variables shared by all minimal bodies,
-    ``uncovered`` those missing from their union, and ``dropped_bodies``
-    the non-minimal family members.
+    ``removed_core`` lists variables shared by all minimal bodies and
+    ``uncovered`` those missing from their union.
     """
 
     removed_core: VarSet
     uncovered: VarSet
-    dropped_bodies: tuple[VarSet, ...]
     var_map: tuple[int, ...]
 
     @property
     def original_n(self) -> int:
         return self.removed_core.n
-
-    @property
-    def is_identity(self) -> bool:
-        return (
-            not self.removed_core
-            and not self.uncovered
-            and not self.dropped_bodies
-            and self.var_map == tuple(range(1, self.original_n + 1))
-        )
 
 
 def sperner_minimal(bodies: Iterable[VarSet]) -> tuple[VarSet, ...]:
@@ -105,8 +94,6 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
         if b.n != n:
             raise ValueError(f"body over universe {b.n}, family over {n}")
     minimal = sperner_minimal(raw)
-    kept = set(minimal)
-    dropped = canonical_sorted(b for b in raw if b not in kept)
     if len(minimal) == 1:
         raise TrivialInstance(n, minimal[0])
 
@@ -130,7 +117,6 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
     rec = NormalizationRecord(
         removed_core=VarSet._raw(n, core),
         uncovered=VarSet._raw(n, uncovered_mask),
-        dropped_bodies=dropped,
         var_map=var_map,
     )
     return inst, rec

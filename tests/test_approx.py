@@ -83,16 +83,6 @@ class TestHamiltonian:
             phi = hamiltonian_formula(inst)
             assert measure_size(phi, Measure.TA) <= 2 * sum(len(b) for b in inst.bodies)
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            hamiltonian_formula(TRIANGLE, order=[0, 1])
-        with pytest.raises(ValueError):
-            hamiltonian_formula(TRIANGLE, order=[0, 1, 1])
-
-    def test_custom_order(self):
-        phi = hamiltonian_formula(TRIANGLE, order=[2, 1, 0])
-        assert verify_representation(phi, TRIANGLE)
-
 
 class TestExactMeasures:
     def test_b_ba_sizes(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli
+from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli, exact
 from keyhorn.cli import (
     ParseError,
     main,
@@ -136,6 +136,20 @@ class TestMinimizeCommand:
         )
         assert rc == 2
 
+    def test_report_file_holds_what_is_printed(self, tri_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["minimize", "--in", tri_file, "--measure", "all", "--report", str(report)]) == 0
+        assert report.read_text() == capsys.readouterr().out
+
+    def test_timings_add_only_their_block(self, tri_file, capsys):
+        main(["minimize", "--in", tri_file, "--measure", "all"])
+        plain = capsys.readouterr().out
+        main(["minimize", "--in", tri_file, "--measure", "all", "--timings"])
+        timed = json.loads(capsys.readouterr().out)
+        timings = timed.pop("timings_ms")
+        assert sorted(timings) == ["lift_verify_ms", "minimize_ms", "normalize_ms", "total_ms"]
+        assert json.dumps(timed, sort_keys=True, indent=2) + "\n" == plain
+
     def test_byte_identical_reports(self, tri_file, capsys):
         main(["minimize", "--in", tri_file, "--measure", "all"])
         first = capsys.readouterr().out
@@ -220,6 +234,14 @@ class TestOtherCommands:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["L"] == {"opt": 9, "optimal": True}
+
+    @pytest.mark.parametrize("measure, searches", [("C", 1), ("L", 1), ("all", 2)])
+    def test_exact_runs_only_the_searches_it_reports(
+        self, tri_file, capsys, monkeypatch, measure, searches
+    ):
+        calls = counting(monkeypatch, exact, "_search_weighted")
+        assert main(["exact", "--in", tri_file, "--measure", measure]) == 0
+        assert len(calls) == searches
 
     def test_bounds_command(self, tri_file, capsys):
         rc = main(["bounds", "--in", tri_file])

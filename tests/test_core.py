@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,20 @@ class TestVarSet:
         ]
         ordered = [sorted(s) for s in canonical_sorted(vs)]
         assert ordered == [[2], [1, 3], [1, 5], [2, 3], [1, 2, 3]]
+
+    def test_fullness_checks_allocate_no_universe_mask(self):
+        n = 10**8
+        s = VarSet(n, [1, 2])
+        inst = KeyHornInstance(n, [s, VarSet(n, [2, 3])])
+        tracemalloc.start()
+        try:
+            assert not s.is_full()
+            assert not inst.is_normalized
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a mask of n bits alone is 12.5 MB
+        assert VarSet.full(5).is_full() and not VarSet(5, [1, 2, 3, 4]).is_full()
 
     def test_compare_matches_tuple_order(self):
         rng = random.Random(0)

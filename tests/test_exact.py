@@ -16,6 +16,7 @@ from keyhorn import (
     lower_bound,
     measure_size,
     minimize,
+    normalize,
     opt_exact,
     opt_exact_all,
     price_l_exact,
@@ -23,6 +24,7 @@ from keyhorn import (
 )
 
 from keyhorn import approx, exact
+from keyhorn.cli import parse_bodies
 
 from helpers import counting, random_instances, random_subset
 
@@ -200,6 +202,26 @@ class TestOptExact:
         )
         with pytest.raises(SearchLimitError):
             opt_exact(inst, Measure.C, max_candidates=10)
+
+    @pytest.mark.parametrize(
+        "text, found, seed",
+        [
+            ("p keyhorn 8 6\n1 4 5\n2 5\n4 6\n3 5\n3 4\n1 2 3\n", 7, 9),
+            ("p keyhorn 8 6\n4 5 6 7\n1 3 4 7 8\n1 2 3 5 6\n1 3 4 5\n1 5 6 7\n6 8\n", 10, 12),
+        ],
+        ids=["seed9", "seed12"],
+    )
+    def test_timeout_reports_best_leaf_found(self, monkeypatch, text, found, seed):
+        n, raw = parse_bodies(text)
+        inst, _rec = normalize(n, raw)
+        assert minimize(inst, Measure.C).size == seed
+        # the clock is read for the deadline, then once every 64 search nodes
+        reads = iter([0.0] * 64)
+        monkeypatch.setattr(exact.time, "monotonic", lambda: next(reads, 2.0))
+        res = opt_exact(inst, Measure.C, timeout=1.0)
+        assert (res.size, res.optimal) == (found, False)
+        assert verify_representation(res.formula, inst)
+        assert measure_size(res.formula, Measure.C) == found
 
     def test_timeout_returns_flagged_upper_bound(self):
         inst = KeyHornInstance(

@@ -8,11 +8,12 @@ the digest, so such a change has to be made and re-recorded on purpose.
 
 import hashlib
 
-from keyhorn import MEASURES, gen_projective, gen_random
-from keyhorn.cli import main, write_bodies
+from keyhorn import MEASURES, ClauseGroup, HornCNF, VarSet, gen_projective, gen_random
+from keyhorn.cli import main, parse_bodies, write_bodies, write_horn
 
 GOLDEN_SHA256 = "028ff485b453cf931549d0a07e683d144efa0a90d03d7d1bf57687e9d34d0da5"
 GOLDEN_WITNESS_SHA256 = "e6d0ff7ee8609cb0c00505eeca8454ebece9bd5dc3772eea4ca97c216f096cc7"
+GOLDEN_OTHER_SHA256 = "a82fb4b6854a6b7e925c5027ad2ac3d9182e1e338a871d022e3d4fc3c96eb3ba"
 
 STRATEGIES = ("auto", "hamiltonian", "procedure1", "procedure2")
 
@@ -81,3 +82,92 @@ def _witness_digest(tmp_path, capsys) -> str:
 
 def test_cli_witness_files_match_golden_digest(tmp_path, capsys):
     assert _witness_digest(tmp_path, capsys) == GOLDEN_WITNESS_SHA256
+
+
+def _formulas(n: int, raw: list[VarSet]) -> dict[str, str]:
+    """``.horn`` files for ``verify`` on one corpus file: the canonical
+    representation, the same with its last group dropped, one group whose
+    body holds no family body, and two files that do not parse against it."""
+    psi = [ClauseGroup(b, b.complement()) for b in raw]
+    single = VarSet(n, [n])
+    return {
+        "psi": write_horn(HornCNF(n, psi)),
+        "psi-minus-last": write_horn(HornCNF(n, psi[:-1])),
+        "unentailed": write_horn(HornCNF(n, psi + [ClauseGroup(single, single.complement())])),
+        "wider-universe": f"p horn {n + 1} 1\n1 -> 2\n",
+        "head-in-body": f"p horn {n} 1\n1 -> 1\n",
+    }
+
+
+def _words(values) -> str:
+    return " ".join(map(str, values))
+
+
+def _other_commands(path: str, text: str, formula_dir):
+    n, raw = parse_bodies(text)
+    for name, horn in sorted(_formulas(n, raw).items()):
+        formula = formula_dir / f"{name}.horn"
+        formula.write_text(horn)
+        yield ["verify", "--in", path, "--formula", str(formula)]
+    every = _words(range(1, n + 1))
+    # the last two sources mostly hold no body, or do not parse
+    for src, dst in (
+        (_words(raw[0]), every),
+        (_words(raw[0] | raw[-1]), every),
+        (_words(raw[0]), _words(raw[-1])),
+        (str(n), every),
+        ("x", every),
+    ):
+        yield ["price", "--in", path, "--measure", "C", "--from", src, "--to", dst]
+        yield ["price", "--in", path, "--measure", "L", "--from", src, "--to", dst]
+        yield ["price", "--in", path, "--measure", "L", "--exact", "--cap", "8", "--from", src, "--to", dst]
+    yield ["mwscs", "--in", path]
+    yield ["mwscs", "--in", path, "--projective-d", "3"]
+
+
+def _gen_commands(out: str, cert: str):
+    yield ["gen", "random", "--n", "9", "--m", "5", "--k", "4", "--seed", "3"]
+    yield ["gen", "random", "--n", "30", "--m", "8", "--k", "6", "--seed", "7", "--out", out]
+    yield ["gen", "random", "--n", "3", "--m", "9", "--k", "2", "--seed", "1"]
+    yield ["gen", "random", "--n", "4", "--m", "2", "--k", "5", "--seed", "1"]
+    yield ["gen", "hydra", "--n", "4", "--edges", "1,2 2,3 3,4 1,4"]
+    yield ["gen", "hydra", "--n", "5", "--edges", "1,2 2,3 1,3", "--out", out]
+    yield ["gen", "hydra", "--n", "3", "--edges", "1,x"]
+    yield ["gen", "hydra", "--n", "3", "--edges", "1,4"]
+    yield ["gen", "projective", "--d", "2"]
+    yield ["gen", "projective", "--d", "3", "--out", out, "--cert", cert]
+    yield ["gen", "projective", "--d", "7"]
+    yield ["gen", "sat3", "--clause", "1 -2 3", "--clause", "-1 2 -3"]
+    yield ["gen", "sat3", "--clause", "1 2 -3", "--clause", "-1 -2 3", "--clause", "2 3 -1"]
+    yield ["gen", "sat3", "--clause", "1 2"]
+    yield ["gen", "sat3", "--clause", "1 0 2"]
+
+
+def _other_digest(tmp_path, capsys) -> str:
+    """sha256 over ``verify``, ``price``, ``mwscs`` and ``gen``: label, exit
+    code, stdout, stderr and every file the command wrote."""
+    h = hashlib.sha256()
+    out, cert = tmp_path / "gen.out", tmp_path / "gen.cert"
+
+    def run(argv, label):
+        for f in (out, cert):
+            f.unlink(missing_ok=True)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        files = [f.read_text() if f.exists() else "<no file>" for f in (out, cert)]
+        for part in (label, str(rc), captured.out, captured.err, *files):
+            h.update(part.encode())
+            h.update(b"\0")
+
+    for name, text in sorted(_corpus().items()):
+        path = tmp_path / f"{name}.bodies"
+        path.write_text(text)
+        for argv in _other_commands(str(path), text, tmp_path):
+            run(argv, " ".join(name if a == str(path) else a.replace(str(tmp_path), "") for a in argv))
+    for argv in _gen_commands(str(out), str(cert)):
+        run(argv, " ".join(a.replace(str(tmp_path), "") for a in argv))
+    return h.hexdigest()
+
+
+def test_other_commands_match_golden_digest(tmp_path, capsys):
+    assert _other_digest(tmp_path, capsys) == GOLDEN_OTHER_SHA256

@@ -22,7 +22,7 @@ from keyhorn import (
     price_c,
     shortest_path,
 )
-from keyhorn.graph import BodyGraph, _min_out_parents
+from keyhorn.graph import BodyGraph, _min_arborescence
 
 from helpers import (
     brute_min_in_arborescence,
@@ -236,7 +236,8 @@ def assert_same_choices_as_reference(g: BodyGraph, roots) -> None:
     w = g.weight
     for r in roots:
         assert min_in_arborescence(g, root=r).succ == ref_rooted_in_succ(w, r)
-        assert _min_out_parents(g, r) == ref_out_parents(w, r)
+        parent = _min_arborescence(list(zip(*w)), r)
+        assert {v: u for v, u in enumerate(parent) if v != r} == ref_out_parents(w, r)
     assert min_in_arborescence(g).root == ref_best_unrooted_root(w)
 
 

@@ -66,7 +66,8 @@ class TestNormalize:
     def test_identity_on_normalized(self):
         fam = [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])]
         inst, rec = normalize(3, fam)
-        assert rec.is_identity
+        assert not rec.removed_core and not rec.uncovered
+        assert rec.var_map == (1, 2, 3)
         assert set(inst.bodies) == set(fam)
 
     def test_trivial_single_body(self):
