@@ -19,6 +19,11 @@ class UniverseMismatchError(ValueError):
     """Operands are defined over different variable universes."""
 
 
+# Bit length above which ``VarSet.__iter__`` scans the binary string instead
+# of peeling bits; below it peeling is faster.
+_WIDE_BITS = 4096
+
+
 class VarSet:
     """Immutable set of variables drawn from the universe {1, ..., n}.
 
@@ -73,6 +78,15 @@ class VarSet:
 
     def __iter__(self) -> Iterator[int]:
         m = self.mask
+        if m.bit_length() > _WIDE_BITS:
+            # one pass over the binary digits, lowest first: peeling bits
+            # costs O(n/wordsize) each, quadratic on a wide set
+            digits = bin(m)[:1:-1]
+            i = digits.find("1")
+            while i >= 0:
+                yield i + 1
+                i = digits.find("1", i + 1)
+            return
         while m:
             lsb = m & -m
             yield lsb.bit_length()
@@ -265,10 +279,11 @@ class _Propagator:
     """Counter-based forward chaining over one formula.
 
     Building the variable-to-group incidence once lets many closures over
-    the same formula run in time linear in the formula size each.
+    the same formula run in time linear in the formula size each.  Each body
+    has one group: heads added for a body already present join its slot.
     """
 
-    __slots__ = ("n", "full_mask", "body_masks", "head_masks", "occ")
+    __slots__ = ("n", "full_mask", "body_masks", "head_masks", "occ", "slot")
 
     def __init__(self, phi: HornCNF):
         self.n = phi.n
@@ -276,13 +291,18 @@ class _Propagator:
         self.body_masks: list[int] = []
         self.head_masks: list[int] = []
         self.occ: dict[int, list[int]] = {}
+        self.slot: dict[int, int] = {}  # body mask -> its group index
         for g in phi.groups:
             self.add_group(g.body.mask, g.heads.mask)
 
     def add_group(self, bmask: int, hmask: int) -> None:
-        """Append the group ``bmask -> hmask``.  Closures stay unchanged
+        """Add the group ``bmask -> hmask``.  Closures stay unchanged
         only when the group is entailed by the formula."""
-        gi = len(self.body_masks)
+        gi = self.slot.get(bmask)
+        if gi is not None:
+            self.head_masks[gi] |= hmask
+            return
+        gi = self.slot[bmask] = len(self.body_masks)
         self.body_masks.append(bmask)
         self.head_masks.append(hmask)
         while bmask:
@@ -403,14 +423,18 @@ def verify_against_family(phi: HornCNF, n: int, bodies: Iterable[VarSet]) -> Ver
     fam = list(bodies)
     if phi.n != n or any(b.n != n for b in fam):
         raise UniverseMismatchError("formula and family universes differ")
+    fam_masks = {b.mask for b in fam}
     for g in phi.groups:
+        if g.body.mask in fam_masks:
+            continue
         if not any(b.mask & ~g.body.mask == 0 for b in fam):
             return VerifyResult(False, bad_group=g)
     # Bodies are closed from last to first, and each one that reaches the
-    # universe becomes the group ``b -> V \ b``.  That group is entailed, so
-    # no closure changes, but a later closure stops once it covers a proven
-    # body (a cycle formula chains each body into the next one).  The body
-    # reported is still the first failing one in family order.
+    # universe becomes the group ``b -> V \ b`` (in the slot of phi's group
+    # on b, if there is one).  That group is entailed, so no closure changes,
+    # but a later closure stops once it covers a proven body (a cycle formula
+    # chains each body into the next one).  The body reported is still the
+    # first failing one in family order.
     prop = _Propagator(phi)
     full = (1 << n) - 1
     bad = None

@@ -253,10 +253,13 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
 # Minimum spanning arborescence (Edmonds/Chu-Liu via cycle contraction)
 # ---------------------------------------------------------------------------
 
-# ``_min_arborescence`` is the one routine behind the rooted, unrooted and
-# out-arborescence cases.  It contracts level by level, without recursion,
-# on dense per-head columns of the current level only, and five rules fix
-# its choices (the tie-break contract the reports rely on):
+# ``_min_arborescence`` is the one routine that chooses an arborescence, and
+# it serves only rooted calls: ``min_in_arborescence`` and the in- and
+# out-arborescences of ``mwscs_2approx``.  An unrooted ``min_in_arborescence``
+# first picks its root with ``_root_weights`` and then makes one rooted call.
+# The routine contracts level by level, without recursion, on dense per-head
+# columns of the current level only, and five rules fix its choices (the
+# tie-break contract the reports rely on):
 #
 # 1. Each head takes its minimum in-arc, ties to the smallest tail id.  The
 #    original nodes keep their ids; supernodes get ids after them in the
@@ -272,10 +275,12 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
 # 5. Expansion enters a supernode at the member holding the original head of
 #    the arc chosen into it; every other member keeps its own choice.
 #
-# A level costs O(k^2) for k current nodes, and the unrooted and
-# out-arborescence cases can need about m levels, so a call is O(m^3) in the
-# worst case.  Tarjan's O(m^2) branching breaks ties differently and would
-# change which arborescence is chosen, and with it the reports.
+# A level costs O(k^2) for k current nodes, and a rooted call can need about
+# m levels (the out-arborescences of ``mwscs_2approx`` do), so a call is
+# O(m^3) in the worst case.  Tarjan's O(m^2) branching breaks ties
+# differently and would change which arborescence is chosen, and with it the
+# reports; ``_root_weights`` uses such a tree only for weights, which do not
+# depend on ties.
 
 
 def _min_arborescence(cols, root: int) -> list[int]:
@@ -389,21 +394,79 @@ def _min_arborescence(cols, root: int) -> list[int]:
     return parent
 
 
+def _root_weights(cols) -> list[int]:
+    """Weight of the minimum spanning out-arborescence from every root of a
+    complete digraph (``cols`` as for ``_min_arborescence``), read off one
+    root-free contraction tree (Fischetti & Toth 1993).
+
+    A path grows by minimum in-arcs; when it closes a cycle, the cycle
+    contracts into a supernode whose in-column merges its members' columns,
+    each reduced by its member's chosen weight.  It stops when one node holds
+    them all.  ``bw[x]``, the reduced weight of node x's chosen arc, is a
+    dual value on the set of original nodes x holds, and for root r those
+    not holding r give both a feasible dual and a tight arborescence, so the
+    weight for r is the sum of ``bw`` less that of r and its ancestors.
+    Tails stay original nodes, so a contraction costs O(|C| m) and the whole
+    tree O(m^2).
+    """
+    m = len(cols)
+    inf = float("inf")
+    w = []  # per tree node: its in-column over original tails, inf inside it
+    for x, col in enumerate(cols):
+        w.append(list(col))
+        w[x][x] = inf
+    top = list(range(m))  # original node -> the tree node holding it now
+    held = [[x] for x in range(m)]  # tree node -> the original nodes it holds
+    up = [-1] * (2 * m)
+    bw = [0] * (2 * m)
+    path = [0]
+    on_path = {0}
+    while True:
+        x = path[-1]
+        col = w[x]
+        b = min(col)
+        if b == inf:
+            break  # x holds every node
+        bw[x] = b
+        y = top[col.index(b)]
+        if y not in on_path:
+            path.append(y)
+            on_path.add(y)
+            continue
+        cyc = path[path.index(y):]
+        del path[-len(cyc):]
+        on_path.difference_update(cyc)
+        s = len(w)
+        merged = [a - bw[cyc[0]] for a in w[cyc[0]]]
+        for c in cyc[1:]:
+            bc = bw[c]
+            merged = list(map(min, merged, [a - bc for a in w[c]]))
+        inside = [v for c in cyc for v in held[c]]
+        for v in inside:
+            merged[v] = inf
+            top[v] = s
+        for c in cyc:
+            up[c] = s
+            w[c] = held[c] = None
+        w.append(merged)
+        held.append(inside)
+        path.append(s)
+        on_path.add(s)
+    # below[x]: bw summed over x and its ancestors; children precede parents
+    below = [0] * len(w)
+    for x in range(len(w) - 2, -1, -1):
+        below[x] = bw[x] + below[up[x]]
+    total = sum(bw[: len(w) - 1])
+    return [total - below[r] for r in range(m)]
+
+
 def _best_unrooted_root(g: BodyGraph) -> int:
     """Root minimizing the rooted in-arborescence weight, smallest index on
-    ties.  One augmented run: a virtual root m gets an arc into every node,
-    and real weights are scaled so a virtual arc's index term acts as the
-    tie-break."""
-    m = g.m
-    scale = m + 1
-    total = sum(w for row in g.weight for w in row)
-    big = scale * total + m + 1
-    cols = [[scale * w for w in row] + [big + v] for v, row in enumerate(g.weight)]
-    cols.append(None)
-    parent = _min_arborescence(cols, m)
-    roots = [v for v in range(m) if parent[v] == m]
-    assert len(roots) == 1, "exactly one virtual arc must be selected"
-    return roots[0]
+    ties, from every root's weight on one contraction tree.  An
+    in-arborescence of g toward r is an out-arborescence from r of the
+    reversed graph, whose in-columns are the rows of g."""
+    weights = _root_weights(g.weight)
+    return weights.index(min(weights))
 
 
 def min_in_arborescence(g: BodyGraph, root: int | None = None) -> InArborescence:
@@ -411,7 +474,9 @@ def min_in_arborescence(g: BodyGraph, root: int | None = None) -> InArborescence
 
     With ``root`` given, the minimum among arborescences with that root;
     otherwise the minimum over all roots, ties broken by smallest root
-    index (equivalent to solving the rooted problem for every root).
+    index: ``_best_unrooted_root`` reads every root's weight off one
+    contraction tree in O(m^2), and the arborescence is then the rooted one
+    for that root.  Either way ``_min_arborescence`` runs once.
     """
     m = g.m
     if m == 0:

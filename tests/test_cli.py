@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -324,6 +325,16 @@ class TestOtherCommands:
         stats = json.loads(capsys.readouterr().out)
         assert (stats["alpha"], stats["beta"], stats["tau"]) == (98, 341, 542_734)
         assert "note" in stats
+
+    def test_gen_sat3_out_is_pinned_and_quick(self, tmp_path, capsys):
+        # 544,498 variables: writing the bodies walks every wide set once
+        out = tmp_path / "sat3.bodies"
+        start = time.perf_counter()
+        assert main(["gen", "sat3", "--clause", "1 2 -3", "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 10.0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "19b3ad349b2b04c1c89b8396d9f4d9d4d3f758698887d74c6f96bbf6b4c82d04"
+        )
 
     def test_mwscs_projective_d2(self, tmp_path, capsys):
         f = tmp_path / "pg2.bodies"

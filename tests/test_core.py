@@ -24,6 +24,7 @@ from keyhorn import (
     verify_against_family,
     verify_representation,
 )
+from keyhorn.core import _Propagator
 
 from helpers import random_cnf, random_instances, random_subset, ref_verify_against_family
 
@@ -84,6 +85,15 @@ class TestVarSet:
             tracemalloc.stop()
         assert peak < 1 << 20  # a mask of n bits alone is 12.5 MB
         assert VarSet.full(5).is_full() and not VarSet(5, [1, 2, 3, 4]).is_full()
+
+    def test_iteration_is_ascending_on_both_sides_of_the_wide_cutoff(self):
+        rng = random.Random(7)
+        for n in (64, 4096, 4097, 20_000):
+            for _ in range(20):
+                elems = sorted(rng.sample(range(1, n + 1), rng.randint(0, 40)))
+                if rng.random() < 0.5:
+                    elems = sorted(set(elems) | {n})
+                assert list(VarSet(n, elems)) == elems
 
     def test_compare_matches_tuple_order(self):
         rng = random.Random(0)
@@ -319,6 +329,70 @@ class TestVerifyMatchesReference:
             assert got == ref_verify_against_family(phi, n, fam)
             kinds.add(_kind(got))
         assert kinds == {"ok", "body", "group"}
+
+
+class TestVerifyFallbackPath:
+    """Group bodies that are family bodies are accepted by one lookup; the
+    others, strict supersets of family bodies or bodies holding none, still
+    go through the containment scan in group order."""
+
+    FAMILY = [VarSet(4, [1, 2]), VarSet(4, [3, 4])]
+
+    def _check(self, phi, fam):
+        got = verify_against_family(phi, phi.n, fam)
+        assert got == ref_verify_against_family(phi, phi.n, fam)
+        return got
+
+    def test_strict_superset_bodies_are_accepted(self):
+        phi = HornCNF.of(4, [((1, 2), (3,)), ((1, 2, 3), (4,)), ((3, 4), (1, 2))])
+        assert self._check(phi, self.FAMILY).ok
+
+    def test_superset_body_that_does_not_reach_the_universe(self):
+        phi = HornCNF.of(4, [((1, 2, 3), (4,)), ((3, 4), (1, 2))])
+        got = self._check(phi, self.FAMILY)
+        assert got.bad_body == self.FAMILY[0] and got.closure == self.FAMILY[0]
+
+    def test_non_entailed_group_is_the_certificate(self):
+        phi = HornCNF.of(
+            4, [((1,), (3,)), ((1, 2), (3, 4)), ((1, 2, 4), (3,)), ((3, 4), (1, 2))]
+        )
+        got = self._check(phi, self.FAMILY)
+        assert not got.ok and got.bad_group == phi.groups[0]
+
+    def test_random_mixes_of_family_and_superset_bodies(self):
+        rng = random.Random(4400)
+        kinds = set()
+        for inst in random_instances(400, 4400, n_range=(3, 8), m_range=(2, 6)):
+            n, full = inst.n, VarSet.full(inst.n)
+            groups = []
+            for b in inst.bodies:
+                body = b
+                if rng.random() < 0.5 and len(b) < n - 1:
+                    extra = rng.choice(sorted(full - b))
+                    body = b | VarSet(n, [extra])
+                groups.append(ClauseGroup(body, full - body))
+            if rng.random() < 0.25:
+                b = rng.choice(inst.bodies)
+                if len(b) > 1:
+                    body = b - VarSet(n, [rng.choice(sorted(b))])
+                    if not any(f.issubset(body) for f in inst.bodies):
+                        groups.append(ClauseGroup(body, full - body))
+            phi = HornCNF(n, groups)
+            fam = list(inst.bodies)
+            rng.shuffle(fam)
+            kinds.add(_kind(self._check(phi, fam)))
+        assert kinds == {"ok", "body", "group"}
+
+
+class TestPropagator:
+    def test_group_on_a_present_body_joins_its_slot(self):
+        phi = HornCNF.of(5, [((1,), (2,)), ((1, 3), (4,))])
+        prop = _Propagator(phi)
+        prop.add_group(VarSet(5, [1, 3]).mask, VarSet(5, [5]).mask)
+        assert len(prop.body_masks) == 2
+        assert prop.closure_mask(VarSet(5, [1, 3]).mask) == VarSet.full(5).mask
+        prop.add_group(VarSet(5, [2]).mask, VarSet(5, [3]).mask)
+        assert len(prop.body_masks) == 3
 
 
 class TestKeyHornInstance:

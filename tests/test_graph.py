@@ -22,11 +22,13 @@ from keyhorn import (
     price_c,
     shortest_path,
 )
-from keyhorn.graph import BodyGraph, _min_arborescence
+from keyhorn import graph
+from keyhorn.graph import BodyGraph, _min_arborescence, _root_weights
 
 from helpers import (
     brute_min_in_arborescence,
     brute_mwscs,
+    counting,
     is_strongly_connected,
     random_instances,
     random_sperner_instance,
@@ -230,6 +232,33 @@ class TestMinInArborescence:
             # smallest root index among optimal roots
             per_root = [brute_min_in_arborescence(w, r)[0] for r in range(m)]
             assert arb.root == min(r for r in range(m) if per_root[r] == best)
+
+
+class TestRootWeights:
+    """Every root's weight from one contraction tree equals the rooted
+    arborescence weight, and the unrooted root is the reference's."""
+
+    def test_weights_match_rooted_calls(self):
+        rng = random.Random(16)
+        for i in range(3000):
+            m = 2 + i % 8
+            g = graph_of(random_weight_matrix(rng, m, hi=(1, 2, 3, 6, 20)[i // 8 % 5]))
+            assert _root_weights(g.weight) == [
+                min_in_arborescence(g, root=r).weight_in(g) for r in range(m)
+            ]
+
+    def test_unrooted_root_matches_reference_up_to_m_60(self):
+        rng = random.Random(17)
+        for i in range(40):
+            m = rng.randint(10, 60)
+            w = random_weight_matrix(rng, m, hi=(1, 2, 3, 6, 20)[i % 5])
+            assert min_in_arborescence(graph_of(w)).root == ref_best_unrooted_root(w)
+
+    def test_unrooted_call_runs_the_routine_once(self, monkeypatch):
+        calls = counting(monkeypatch, graph, "_min_arborescence")
+        g = body_graph_c(random_instances(1, 1600, n_range=(40, 40), m_range=(12, 12))[0])
+        arb = min_in_arborescence(g)
+        assert [args[1] for args in calls] == [arb.root]
 
 
 def assert_same_choices_as_reference(g: BodyGraph, roots) -> None:
