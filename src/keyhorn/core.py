@@ -19,11 +19,6 @@ class UniverseMismatchError(ValueError):
     """Operands are defined over different variable universes."""
 
 
-# Bit length above which ``VarSet.__iter__`` scans the binary string instead
-# of peeling bits; below it peeling is faster.
-_WIDE_BITS = 4096
-
-
 class VarSet:
     """Immutable set of variables drawn from the universe {1, ..., n}.
 
@@ -77,20 +72,13 @@ class VarSet:
         return 1 <= v <= self.n and (self.mask >> (v - 1)) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        if m.bit_length() > _WIDE_BITS:
-            # one pass over the binary digits, lowest first: peeling bits
-            # costs O(n/wordsize) each, quadratic on a wide set
-            digits = bin(m)[:1:-1]
-            i = digits.find("1")
-            while i >= 0:
-                yield i + 1
-                i = digits.find("1", i + 1)
-            return
-        while m:
-            lsb = m & -m
-            yield lsb.bit_length()
-            m ^= lsb
+        # one pass over the binary digits, lowest first; peeling bits with
+        # ``m & -m`` costs O(n) per set bit, quadratic on a wide dense set
+        digits = bin(self.mask)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            yield i + 1
+            i = digits.find("1", i + 1)
 
     def __or__(self, other: "VarSet") -> "VarSet":
         _same_universe(self, other)

@@ -460,23 +460,14 @@ def _root_weights(cols) -> list[int]:
     return [total - below[r] for r in range(m)]
 
 
-def _best_unrooted_root(g: BodyGraph) -> int:
-    """Root minimizing the rooted in-arborescence weight, smallest index on
-    ties, from every root's weight on one contraction tree.  An
-    in-arborescence of g toward r is an out-arborescence from r of the
-    reversed graph, whose in-columns are the rows of g."""
-    weights = _root_weights(g.weight)
-    return weights.index(min(weights))
-
-
 def min_in_arborescence(g: BodyGraph, root: int | None = None) -> InArborescence:
     """Minimum-weight spanning in-arborescence of a complete body graph.
 
     With ``root`` given, the minimum among arborescences with that root;
     otherwise the minimum over all roots, ties broken by smallest root
-    index: ``_best_unrooted_root`` reads every root's weight off one
-    contraction tree in O(m^2), and the arborescence is then the rooted one
-    for that root.  Either way ``_min_arborescence`` runs once.
+    index: ``_root_weights`` reads every root's weight off one contraction
+    tree in O(m^2), and the arborescence is then the rooted one for the
+    first root of least weight.  Either way ``_min_arborescence`` runs once.
     """
     m = g.m
     if m == 0:
@@ -485,11 +476,12 @@ def min_in_arborescence(g: BodyGraph, root: int | None = None) -> InArborescence
         raise ValueError(f"root {root} out of range 0..{m - 1}")
     if m == 1:
         return InArborescence(0 if root is None else root, {})
-    if root is None:
-        root = _best_unrooted_root(g)
     # an in-arborescence toward root is an out-arborescence from root in the
     # reversed graph, whose in-columns are the rows of g; the reversed parent
     # of x is exactly succ(x)
+    if root is None:
+        w = _root_weights(g.weight)
+        root = w.index(min(w))
     succ = _min_arborescence(g.weight, root)
     return InArborescence(root, {x: s for x, s in enumerate(succ) if x != root})
 
