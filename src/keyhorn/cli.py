@@ -651,8 +651,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except TrivialInstance as exc:
         print(
-            f"keyhorn: error: {exc}; the 'minimize' and 'exact' commands "
-            "handle single-body instances directly",
+            f"keyhorn: error: {exc}; 'gen' emits normalized families, and a "
+            "single-body family normalizes to no variables",
             file=sys.stderr,
         )
         return 2

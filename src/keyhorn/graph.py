@@ -1,5 +1,6 @@
 """Body graphs, their per-measure arc weights, and the graph algorithms the
-minimizers are built on: lexicographically tie-broken shortest paths,
+minimizers are built on: the lambda chain formulas, which realize an arc
+by the cheapest chain of bodies from a source set to a target set,
 minimum-weight spanning in-arborescences, and a 2-approximation for the
 minimum-weight strongly connected spanning subgraph.
 
@@ -97,51 +98,21 @@ def body_graph_c(inst: KeyHornInstance) -> BodyGraph:
     return BodyGraph(bodies, weight)
 
 
-def _lex_dijkstra(num_nodes: int, arc_weight, src: int, dst: int) -> tuple[list[int], int]:
-    """Shortest path with deterministic ties: among minimum-weight simple
-    paths, the lexicographically smallest node-index sequence wins.
-
-    ``arc_weight(u, v)`` returns the weight of arc u->v or None if absent.
-    Labels are (distance, path); heap order on these pairs is exactly the
-    required tie-break because simple paths to one node can never be
-    prefixes of each other.
-    """
-    heap = [(0, (src,))]
-    done = set()
-    while heap:
-        dist, path = heapq.heappop(heap)
-        u = path[-1]
-        if u == dst:
-            return list(path), dist
-        if u in done:
-            continue
-        done.add(u)
-        for v in range(num_nodes):
-            if v in done or v == u:
-                continue
-            w = arc_weight(u, v)
-            if w is None:
-                continue
-            heapq.heappush(heap, (dist + w, path + (v,)))
-    raise ValueError(f"no path from {src} to {dst}")
-
-
-def shortest_path(g: BodyGraph, src: int, dst: int) -> tuple[list[int], int]:
-    """Minimum-weight directed path in a body graph; see ``_lex_dijkstra``
-    for the tie-break.  Complete graphs make every target reachable."""
-    if src == dst:
-        return [src], 0
-    return _lex_dijkstra(g.m, lambda u, v: g.weight[u][v], src, dst)
-
-
 def lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFormula:
     """Constant-factor approximation of the cheapest literal cost of chaining
     from ``s`` to cover ``s2``.
 
-    Extends the body graph with ``s2`` as an extra target node, weights arc
+    Extends the body graph with ``s2`` as an extra target node m, weights arc
     (B, B') as |B' minus (s union B)| * (|B| + 1), and takes the shortest
     path from the smallest body inside ``s``.  The emitted formula chains
     from ``s`` to ``s2`` and its literal count equals the path weight.
+
+    Ties are deterministic: among minimum-weight simple paths, the
+    lexicographically smallest node-index sequence wins.  The Dijkstra labels
+    are (distance, path) pairs, and heap order on them is exactly that
+    tie-break, because simple paths to one node can never be prefixes of each
+    other.  The graph is complete, so the target is always reached, and it is
+    popped before it could be expanded.
     """
     if s.n != inst.n or s2.n != inst.n:
         raise ValueError("source/target universe does not match the instance")
@@ -149,28 +120,35 @@ def lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFormul
         return LambdaFormula((), HornCNF(inst.n), 0)
     bodies = inst.bodies
     m = inst.m
-    sources = [i for i, b in enumerate(bodies) if b.issubset(s)]
-    if not sources:
+    # canonical order makes the first body inside s the smallest one
+    b0 = next((i for i, b in enumerate(bodies) if b.issubset(s)), None)
+    if b0 is None:
         raise NoBodyInSourceError("no family body is contained in the source set")
-    b0 = sources[0]  # canonical order makes this the smallest such body
 
     smask = s.mask
-    masks = [b.mask for b in bodies]
-    sizes = [len(b) for b in bodies]
-    target_mask = s2.mask
-
-    def arc_weight(u: int, v: int):
+    masks = [b.mask for b in bodies] + [s2.mask]
+    # the variables arc u -> v must derive are masks[v] & outside[u]
+    outside = [~(smask | masks[u]) for u in range(m)]
+    heap = [(0, (b0,))]
+    done = set()
+    while True:
+        dist, path = heapq.heappop(heap)
+        u = path[-1]
         if u == m:
-            return None  # the target has no outgoing arcs
-        head = (target_mask if v == m else masks[v]) & ~(smask | masks[u])
-        return head.bit_count() * (sizes[u] + 1)
-
-    path, dist = _lex_dijkstra(m + 1, arc_weight, b0, m)
-    groups = []
-    for u, v in zip(path, path[1:]):
-        head_mask = (target_mask if v == m else masks[v]) & ~(smask | masks[u])
-        groups.append(ClauseGroup(bodies[u], VarSet._raw(inst.n, head_mask)))
-    return LambdaFormula(tuple(path), HornCNF(inst.n, groups), dist)
+            break
+        if u in done:
+            continue
+        done.add(u)
+        out = outside[u]
+        cost = len(bodies[u]) + 1
+        for v in range(m + 1):
+            if v not in done:
+                heapq.heappush(heap, (dist + (masks[v] & out).bit_count() * cost, path + (v,)))
+    groups = [
+        ClauseGroup(bodies[u], VarSet._raw(inst.n, masks[v] & outside[u]))
+        for u, v in zip(path, path[1:])
+    ]
+    return LambdaFormula(path, HornCNF(inst.n, groups), dist)
 
 
 def body_graph_l(inst: KeyHornInstance) -> BodyGraph:

@@ -8,6 +8,7 @@ closure fixpoints.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from typing import Iterable, Optional
@@ -16,6 +17,8 @@ from keyhorn import (
     ClauseGroup,
     HornCNF,
     KeyHornInstance,
+    LambdaFormula,
+    NoBodyInSourceError,
     TrivialInstance,
     UniverseMismatchError,
     VarSet,
@@ -402,3 +405,79 @@ def ref_verify_against_family(phi: HornCNF, n: int, bodies: Iterable[VarSet]) ->
         if cl != full:
             return VerifyResult(False, bad_body=b, closure=VarSet._raw(n, cl))
     return VerifyResult(True)
+
+
+# ---------------------------------------------------------------------------
+# Reference lambda chains: the generic lexicographic Dijkstra and the
+# ``lambda_formula`` built on it, as the package had them before the search
+# moved into ``lambda_formula`` itself, kept verbatim as a differential
+# oracle for its path, weight and formula.
+# ---------------------------------------------------------------------------
+
+
+def _lex_dijkstra(num_nodes: int, arc_weight, src: int, dst: int) -> tuple[list[int], int]:
+    """Shortest path with deterministic ties: among minimum-weight simple
+    paths, the lexicographically smallest node-index sequence wins.
+
+    ``arc_weight(u, v)`` returns the weight of arc u->v or None if absent.
+    Labels are (distance, path); heap order on these pairs is exactly the
+    required tie-break because simple paths to one node can never be
+    prefixes of each other.
+    """
+    heap = [(0, (src,))]
+    done = set()
+    while heap:
+        dist, path = heapq.heappop(heap)
+        u = path[-1]
+        if u == dst:
+            return list(path), dist
+        if u in done:
+            continue
+        done.add(u)
+        for v in range(num_nodes):
+            if v in done or v == u:
+                continue
+            w = arc_weight(u, v)
+            if w is None:
+                continue
+            heapq.heappush(heap, (dist + w, path + (v,)))
+    raise ValueError(f"no path from {src} to {dst}")
+
+
+def ref_lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFormula:
+    """Constant-factor approximation of the cheapest literal cost of chaining
+    from ``s`` to cover ``s2``.
+
+    Extends the body graph with ``s2`` as an extra target node, weights arc
+    (B, B') as |B' minus (s union B)| * (|B| + 1), and takes the shortest
+    path from the smallest body inside ``s``.  The emitted formula chains
+    from ``s`` to ``s2`` and its literal count equals the path weight.
+    """
+    if s.n != inst.n or s2.n != inst.n:
+        raise ValueError("source/target universe does not match the instance")
+    if s2.issubset(s):
+        return LambdaFormula((), HornCNF(inst.n), 0)
+    bodies = inst.bodies
+    m = inst.m
+    sources = [i for i, b in enumerate(bodies) if b.issubset(s)]
+    if not sources:
+        raise NoBodyInSourceError("no family body is contained in the source set")
+    b0 = sources[0]  # canonical order makes this the smallest such body
+
+    smask = s.mask
+    masks = [b.mask for b in bodies]
+    sizes = [len(b) for b in bodies]
+    target_mask = s2.mask
+
+    def arc_weight(u: int, v: int):
+        if u == m:
+            return None  # the target has no outgoing arcs
+        head = (target_mask if v == m else masks[v]) & ~(smask | masks[u])
+        return head.bit_count() * (sizes[u] + 1)
+
+    path, dist = _lex_dijkstra(m + 1, arc_weight, b0, m)
+    groups = []
+    for u, v in zip(path, path[1:]):
+        head_mask = (target_mask if v == m else masks[v]) & ~(smask | masks[u])
+        groups.append(ClauseGroup(bodies[u], VarSet._raw(inst.n, head_mask)))
+    return LambdaFormula(tuple(path), HornCNF(inst.n, groups), dist)

@@ -318,6 +318,10 @@ class TestOtherCommands:
     def test_gen_trivial_instance_errors(self, capsys):
         rc = main(["gen", "hydra", "--n", "3", "--edges", "1,2"])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            "keyhorn: error: single-body family over 3 variables; 'gen' emits "
+            "normalized families, and a single-body family normalizes to no variables\n"
+        )
 
     def test_gen_sat3(self, capsys):
         rc = main(["gen", "sat3", "--clause", "1 2 3"])

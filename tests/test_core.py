@@ -1,9 +1,11 @@
 import random
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import keyhorn
 from keyhorn import (
     ClauseGroup,
     HornCNF,
@@ -411,3 +413,15 @@ class TestKeyHornInstance:
     def test_raw_instance_not_normalized(self):
         raw = KeyHornInstance(4, [VarSet(4, [1, 2]), VarSet(4, [1, 3])])
         assert not raw.is_normalized
+
+
+class TestPackageExports:
+    def test_all_is_exactly_the_public_names(self):
+        # a name dropped from a module but left in __all__ (so it no longer
+        # resolves), or imported into the package but not exported, fails here
+        public = {
+            name
+            for name, value in vars(keyhorn).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert sorted(keyhorn.__all__) == sorted(public)

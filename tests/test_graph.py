@@ -20,9 +20,8 @@ from keyhorn import (
     min_in_arborescence,
     mwscs_2approx,
     price_c,
-    shortest_path,
 )
-from keyhorn import graph
+from keyhorn import approx, graph
 from keyhorn.graph import BodyGraph, _min_arborescence, _root_weights
 
 from helpers import (
@@ -35,6 +34,7 @@ from helpers import (
     random_weight_matrix,
     ref_best_unrooted_root,
     ref_body_graph_l,
+    ref_lambda_formula,
     ref_out_parents,
     ref_rooted_in_succ,
 )
@@ -81,7 +81,7 @@ class TestLambdaFormula:
     def test_detour_beats_direct(self):
         inst = KeyHornInstance(8, [VarSet(8, [1, 2, 3, 4]), VarSet(8, [5])])
         lam = lambda_formula(inst, VarSet(8, [1, 2, 3, 4]), VarSet(8, [6, 7, 8]))
-        assert lam.weight == 11
+        assert (lam.path, lam.weight) == ((1, 0, 2), 11)
         assert [
             (sorted(g.body), sorted(g.heads)) for g in lam.formula.groups
         ] == [([5], [6, 7, 8]), ([1, 2, 3, 4], [5])]
@@ -94,6 +94,31 @@ class TestLambdaFormula:
     def test_triangle_direct(self):
         lam = lambda_formula(TRIANGLE, VarSet(3, [1, 2]), VarSet(3, [2, 3]))
         assert lam.weight == 3
+
+    def test_equal_weight_detour_beats_direct_arc(self):
+        # {2} -> {1, 3} costs 2 * 2 directly and 2 + 2 through body 1 = {3};
+        # the tie goes to the lexicographically smaller path (0, 1, 2)
+        inst = KeyHornInstance(3, [VarSet(3, [2]), VarSet(3, [3])])
+        lam = lambda_formula(inst, VarSet(3, [2]), VarSet(3, [1, 3]))
+        assert (lam.path, lam.weight) == ((0, 1, 2), 4)
+        # without variable 3 in the target the detour costs 2 + 2, direct 2
+        lam = lambda_formula(inst, VarSet(3, [2]), VarSet(3, [1]))
+        assert (lam.path, lam.weight) == ((0, 2), 2)
+
+    def test_zero_weight_arc_on_chosen_path(self):
+        # from s = {1, 3, 4}: arcs 2 -> 0 -> 1 -> target cost 4 + 0 + 3, as
+        # {2, 3} lies inside s | {1, 2}; (2, 0, 3) also costs 7 and loses the
+        # tie, and the direct arc costs 8
+        inst = KeyHornInstance(
+            5, [VarSet(5, [1, 2]), VarSet(5, [2, 3]), VarSet(5, [1, 3, 4])]
+        )
+        lam = lambda_formula(inst, VarSet(5, [1, 3, 4]), VarSet(5, [2, 4, 5]))
+        assert (lam.path, lam.weight) == ((2, 0, 1, 3), 7)
+        # the zero-weight arc emits an empty group, which the formula drops
+        assert [(sorted(g.body), sorted(g.heads)) for g in lam.formula.groups] == [
+            ([2, 3], [5]),
+            ([1, 3, 4], [2]),
+        ]
 
     def test_no_body_in_source(self):
         with pytest.raises(NoBodyInSourceError):
@@ -115,6 +140,48 @@ class TestLambdaFormula:
                 b0 = next(b for b in inst.bodies if b.issubset(s))
                 direct = len(s2 - (s | b0)) * (len(b0) + 1)
                 assert lam.weight <= direct
+
+
+class TestLambdaFormulaMatchesReference:
+    """The search inside ``lambda_formula`` gives exactly the path, weight
+    and formula of the generic lexicographic Dijkstra it replaced
+    (``helpers.ref_lambda_formula``)."""
+
+    @staticmethod
+    def assert_same(inst, s, s2):
+        lam, ref = lambda_formula(inst, s, s2), ref_lambda_formula(inst, s, s2)
+        assert (lam.path, lam.weight, lam.formula) == (ref.path, ref.weight, ref.formula)
+        return lam
+
+    def test_random_queries_on_small_universes(self):
+        rng = random.Random(5000)
+        detours = zero_arcs = 0
+        for _ in range(2500):
+            inst = random_sperner_instance(rng, rng.randint(3, 8), rng.randint(2, 6))
+            s = inst.bodies[rng.randrange(inst.m)] | VarSet(
+                inst.n, rng.sample(range(1, inst.n + 1), rng.randint(0, 2))
+            )
+            s2 = VarSet(inst.n, rng.sample(range(1, inst.n + 1), rng.randint(1, inst.n)))
+            lam = self.assert_same(inst, s, s2)
+            detours += len(lam.path) > 2
+            # a zero-weight arc emits no group; bodies on a path are distinct
+            zero_arcs += len(lam.formula.groups) < len(lam.path) - 1
+        # the draws reach the tie-breaks the oracle pins
+        assert detours > 100 and zero_arcs > 100
+
+    def test_procedure2_arcs(self, monkeypatch):
+        clique = [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
+        for inst in (
+            gen_random(120, 24, 16, 5),
+            gen_projective(3).instance(),
+            gen_hydra(clique, 8),
+        ):
+            calls = counting(monkeypatch, approx, "lambda_formula")
+            approx.procedure2(inst)
+            assert len(calls) == inst.m - 1
+            for args in calls:
+                self.assert_same(*args)
+            monkeypatch.undo()
 
 
 class TestBodyGraphL:
@@ -169,29 +236,6 @@ class TestBodyGraphLMatchesReference:
             gen_random(300, 60, 20, 4100),
         ):
             assert body_graph_l(inst).weight == ref_body_graph_l(inst).weight
-
-
-class TestShortestPath:
-    def test_two_nodes(self):
-        g = graph_of([[0, 5], [7, 0]])
-        assert shortest_path(g, 0, 1) == ([0, 1], 5)
-
-    def test_zero_weight_direct(self):
-        g = graph_of([[0, 0, 9], [9, 0, 9], [9, 1, 0]])
-        assert shortest_path(g, 0, 1) == ([0, 1], 0)
-
-    def test_detour(self):
-        g = graph_of([[0, 1, 9], [9, 0, 1], [9, 9, 0]])
-        assert shortest_path(g, 0, 2) == ([0, 1, 2], 2)
-
-    def test_lex_tie_break(self):
-        # two minimum-weight paths, [0, 3] and [0, 1, 3]; the node-index
-        # sequence [0, 1, 3] is lexicographically smaller
-        g = graph_of([[0, 1, 9, 2], [9, 0, 9, 1], [9, 9, 0, 9], [9, 9, 9, 0]])
-        assert shortest_path(g, 0, 3) == ([0, 1, 3], 2)
-        # bumping node 1's arc breaks the tie in favour of the direct arc
-        g2 = graph_of([[0, 1, 9, 2], [9, 0, 9, 2], [9, 9, 0, 9], [9, 9, 9, 0]])
-        assert shortest_path(g2, 0, 3) == ([0, 3], 2)
 
 
 class TestMinInArborescence:
