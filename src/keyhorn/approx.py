@@ -20,11 +20,19 @@ from .core import (
     KeyHornInstance,
     MEASURES,
     Measure,
+    VarSet,
     VerificationError,
     measure_size,
     verify_representation,
 )
-from .graph import body_graph_c, body_graph_l, lambda_formula, min_in_arborescence
+from .graph import (
+    BodyGraph,
+    body_graph_c,
+    body_graph_l,
+    intersection_sizes,
+    lambda_formula,
+    min_in_arborescence,
+)
 
 STRATEGY_EXACT = "exact"
 STRATEGY_HAMILTONIAN = "hamiltonian"
@@ -67,13 +75,14 @@ def guarantee_factor(inst: KeyHornInstance, mu: Measure) -> Fraction:
     raise ValueError(f"unknown measure {mu!r}")
 
 
-def lower_bound(inst: KeyHornInstance, mu: Measure) -> int:
+def lower_bound(inst: KeyHornInstance, mu: Measure, graph_c: BodyGraph | None = None) -> int:
     """Unconditional lower bound on the optimal ``mu``-size.
 
     Every representation uses all m minimal bodies; every variable must be
     the head of some clause (so at least n clauses); each such clause has a
     body of size at least delta and at least two literals.  The clause
-    count also takes the partition bound (a normalized family has m >= 2).
+    count also takes the partition bound (a normalized family has m >= 2),
+    read off ``graph_c``, the instance's C body graph, when it is given.
     """
     _require_normalized(inst)
     n, m, delta = inst.n, inst.m, inst.delta
@@ -85,7 +94,7 @@ def lower_bound(inst: KeyHornInstance, mu: Measure) -> int:
     if mu is Measure.TA:
         return max(m, n, sum_bodies)
     if mu is Measure.C:
-        return max(m, n, lower_bound_partition_c(inst))
+        return max(m, n, lower_bound_partition_c(inst, graph_c))
     if mu is Measure.BC:
         return m + n
     if mu is Measure.L:
@@ -93,21 +102,19 @@ def lower_bound(inst: KeyHornInstance, mu: Measure) -> int:
     raise ValueError(f"unknown measure {mu!r}")
 
 
-def lower_bound_partition_c(inst: KeyHornInstance) -> int:
+def lower_bound_partition_c(inst: KeyHornInstance, g: BodyGraph | None = None) -> int:
     """Clause-count bound from the singleton partition: chaining out of each
-    body B costs at least the cheapest |B' \\ B| over the other bodies.
+    body B costs at least the cheapest |B' \\ B| over the other bodies, so
+    the bound is the sum of the off-diagonal row minima of the C body graph
+    ``g`` (built here when not given).
 
     Valid for any Sperner family; normalization is not required.
     """
     if inst.m < 2:
         raise ValueError("partition bound needs at least two bodies")
-    masks = [b.mask for b in inst.bodies]
-    total = 0
-    for i, bi in enumerate(masks):
-        total += min(
-            (masks[j] & ~bi).bit_count() for j in range(inst.m) if j != i
-        )
-    return total
+    if g is None:
+        g = body_graph_c(inst)
+    return sum(min(row[:i] + row[i + 1 :]) for i, row in enumerate(g.weight))
 
 
 def _require_normalized(inst: KeyHornInstance) -> None:
@@ -134,12 +141,14 @@ def hamiltonian_formula(inst: KeyHornInstance) -> HornCNF:
     return _verified(HornCNF(inst.n, groups), inst)
 
 
-def procedure1(inst: KeyHornInstance) -> HornCNF:
+def procedure1(inst: KeyHornInstance, g: BodyGraph | None = None) -> HornCNF:
     """Clause-count minimizer: a minimum clause-cost spanning in-arborescence
-    routes every body's chaining to a root body, which then implies the rest
-    of the universe directly."""
+    of the C body graph ``g`` (built here when not given) routes every body's
+    chaining to a root body, which then implies the rest of the universe
+    directly."""
     _require_normalized(inst)
-    g = body_graph_c(inst)
+    if g is None:
+        g = body_graph_c(inst)
     arb = min_in_arborescence(g)
     bodies = inst.bodies
     groups = [
@@ -150,18 +159,55 @@ def procedure1(inst: KeyHornInstance) -> HornCNF:
     return _verified(HornCNF(inst.n, groups), inst)
 
 
-def procedure2(inst: KeyHornInstance) -> HornCNF:
+def _chain_groups(inst: KeyHornInstance, g: BodyGraph):
+    """``chain(x, s)``: the groups of ``lambda_formula(inst, B_x, B_s)``, for
+    ``g = body_graph_l(inst)``, without a search when no detour ties the
+    direct arc (see ``procedure2``)."""
+    bodies = inst.bodies
+    masks = [b.mask for b in bodies]
+    sizes = [len(b) for b in bodies]
+
+    def chain(x: int, s: int) -> tuple[ClauseGroup, ...]:
+        row = g.weight[x]
+        t = row[s]
+        target = masks[s] & ~masks[x]
+        for v, d in enumerate(row):
+            if d <= t and v != x and v != s:
+                if d + (sizes[v] + 1) * (target & ~masks[v]).bit_count() == t:
+                    return lambda_formula(inst, bodies[x], bodies[s]).formula.groups
+        return (ClauseGroup(bodies[x], VarSet._raw(inst.n, target)),)
+
+    return chain
+
+
+def procedure2(inst: KeyHornInstance, inter: list[list[int]] | None = None) -> HornCNF:
     """Literal-count minimizer: a minimum literal-cost spanning
     in-arborescence rooted at a smallest body, each tree arc realized by its
-    shortest-path chain formula, plus the root's full clause group."""
+    shortest-path chain formula, plus the root's full clause group.  The
+    body graph is built from ``inter``, the instance's intersection table,
+    when it is given.
+
+    Lemma: a tree arc x -> s of weight t = ``g.weight[x][s]`` is realized by
+    the one group ``B_x -> B_s \\ B_x`` unless some v not in {x, s} has
+    ``g.weight[x][v] + (|B_v| + 1) * |B_s \\ (B_x | B_v)| == t``; only then
+    is ``lambda_formula`` called.  Row x of the L graph is exactly the
+    Dijkstra label of every body node in ``lambda_formula``'s graph for
+    source B_x (the only body inside B_x), and the target node m, a copy of
+    B_s, has label t.  A minimum path to m enters it from x, from s, or from
+    such a v; and a minimum path through s enters s from x or from such a v.
+    Without a v, the minimum paths are therefore (x, m) and (x, s, m), the
+    latter wins the lexicographic tie-break (s < m), and its second arc
+    s -> m has an empty head set, which the formula drops.
+    """
     _require_normalized(inst)
-    g = body_graph_l(inst)
+    g = body_graph_l(inst, inter)
     root = 0  # canonical body order puts a smallest body first
     arb = min_in_arborescence(g, root=root)
     bodies = inst.bodies
+    chain = _chain_groups(inst, g)
     groups: list[ClauseGroup] = []
     for x, s in arb.succ.items():
-        groups.extend(lambda_formula(inst, bodies[x], bodies[s]).formula.groups)
+        groups.extend(chain(x, s))
     root_body = bodies[root]
     groups.append(ClauseGroup(root_body, root_body.complement()))
     return _verified(HornCNF(inst.n, groups), inst)
@@ -177,9 +223,9 @@ STRATEGY_TARGETS = {
 # the constructions are looked up by name at call time, so a rebinding of
 # them (as by the benchmark's span tracer) is seen
 _BUILD = {
-    STRATEGY_HAMILTONIAN: lambda inst: hamiltonian_formula(inst),
-    STRATEGY_PROCEDURE1: lambda inst: procedure1(inst),
-    STRATEGY_PROCEDURE2: lambda inst: procedure2(inst),
+    STRATEGY_HAMILTONIAN: lambda table: hamiltonian_formula(table.inst),
+    STRATEGY_PROCEDURE1: lambda table: procedure1(table.inst, table.graph_c()),
+    STRATEGY_PROCEDURE2: lambda table: procedure2(table.inst, table.inter()),
 }
 
 
@@ -187,13 +233,32 @@ class CandidateTable:
     """The candidates of one normalized instance (the Hamiltonian cycle and
     Procedures 1 and 2), each built and verified on first use and shared by
     every measure.  The table is the one place that scores a candidate, and
-    it computes each lower bound once."""
+    it computes each lower bound once.
+
+    It also counts the pairwise intersection sizes |B_i & B_j| once, on
+    first use, and derives from them both body graphs and, through the C
+    graph, the partition bound; the cycle measures B, BA and TA build none
+    of them."""
 
     def __init__(self, inst: KeyHornInstance):
         _require_normalized(inst)
         self.inst = inst
         self._formulas: dict[str, HornCNF] = {}
         self._bounds: dict[Measure, int] = {}
+        self._inter: list[list[int]] | None = None
+        self._graph_c: BodyGraph | None = None
+
+    def inter(self) -> list[list[int]]:
+        """The instance's ``intersection_sizes``, counted on first use."""
+        if self._inter is None:
+            self._inter = intersection_sizes(self.inst)
+        return self._inter
+
+    def graph_c(self) -> BodyGraph:
+        """The C body graph, built from ``inter()`` on first use."""
+        if self._graph_c is None:
+            self._graph_c = body_graph_c(self.inst, self.inter())
+        return self._graph_c
 
     def score(self, strategy: str, mu: Measure) -> MinimizationResult:
         """One candidate as a ``mu`` result with its own guarantee: that is
@@ -202,9 +267,10 @@ class CandidateTable:
         if mu not in STRATEGY_TARGETS[strategy]:
             raise ValueError(f"{strategy} does not construct a {mu} representation")
         if strategy not in self._formulas:
-            self._formulas[strategy] = _BUILD[strategy](self.inst)
+            self._formulas[strategy] = _BUILD[strategy](self)
         if mu not in self._bounds:
-            self._bounds[mu] = lower_bound(self.inst, mu)
+            graph_c = self.graph_c() if mu is Measure.C else None
+            self._bounds[mu] = lower_bound(self.inst, mu, graph_c)
         if strategy == STRATEGY_HAMILTONIAN and mu not in (Measure.B, Measure.BA, Measure.TA):
             guarantee = Fraction(self.inst.k)
         else:

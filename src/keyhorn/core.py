@@ -264,54 +264,66 @@ def measure_size(phi: HornCNF, mu: Measure) -> int:
 
 
 class _Propagator:
-    """Counter-based forward chaining over one formula.
+    """Counter-based forward chaining over one formula (Dowling & Gallier
+    1984).
 
-    Building the variable-to-group incidence once lets many closures over
-    the same formula run in time linear in the formula size each.  Each body
-    has one group: heads added for a body already present join its slot.
+    Building the variable-to-group incidence ``occ`` once lets many closures
+    over the same formula run in time linear in the formula size each.  Each
+    body has one group: heads added for a body already present join its
+    slot.  ``sizes`` holds each group body's size, so a closure starts its
+    counters by decrementing a copy of it along ``occ`` for the bits of z,
+    not by counting every body outside z.
     """
 
-    __slots__ = ("n", "full_mask", "body_masks", "head_masks", "occ", "slot")
+    __slots__ = ("n", "full_mask", "head_masks", "sizes", "occ", "slot")
 
     def __init__(self, phi: HornCNF):
         self.n = phi.n
         self.full_mask = (1 << phi.n) - 1
-        self.body_masks: list[int] = []
         self.head_masks: list[int] = []
+        self.sizes: list[int] = []
         self.occ: dict[int, list[int]] = {}
         self.slot: dict[int, int] = {}  # body mask -> its group index
         for g in phi.groups:
             self.add_group(g.body.mask, g.heads.mask)
 
     def add_group(self, bmask: int, hmask: int) -> None:
-        """Add the group ``bmask -> hmask``.  Closures stay unchanged
-        only when the group is entailed by the formula."""
+        """Add the group ``bmask -> hmask`` (``bmask`` nonempty).  Closures
+        stay unchanged only when the group is entailed by the formula."""
         gi = self.slot.get(bmask)
         if gi is not None:
             self.head_masks[gi] |= hmask
             return
-        gi = self.slot[bmask] = len(self.body_masks)
-        self.body_masks.append(bmask)
+        gi = self.slot[bmask] = len(self.sizes)
         self.head_masks.append(hmask)
+        self.sizes.append(bmask.bit_count())
         while bmask:
             lsb = bmask & -bmask
             bmask ^= lsb
             self.occ.setdefault(lsb.bit_length(), []).append(gi)
 
     def closure_mask(self, zmask: int) -> int:
-        # counts are taken against zmask, so only variables derived later may
-        # decrement them; derived heads are always disjoint from z.
+        # counts[gi] is the number of body variables of group gi not yet
+        # reached; the bits of z take theirs off first, and a group fires when
+        # its count reaches 0.  Derived heads are always disjoint from z.
+        occ = self.occ
+        counts = self.sizes.copy()
+        ready = []
+        m = zmask
+        while m:
+            lsb = m & -m
+            m ^= lsb
+            for gi in occ.get(lsb.bit_length(), ()):
+                counts[gi] -= 1
+                if counts[gi] == 0:
+                    ready.append(gi)
         reached = zmask
-        outside = ~zmask
-        counts = [(bmask & outside).bit_count() for bmask in self.body_masks]
         stack: list[int] = []
-        if 0 in counts:
-            for gi, rem in enumerate(counts):
-                if rem == 0:
-                    new = self.head_masks[gi] & ~reached
-                    if new:
-                        reached |= new
-                        stack.append(new)
+        for gi in ready:
+            new = self.head_masks[gi] & ~reached
+            if new:
+                reached |= new
+                stack.append(new)
         while stack:
             if reached == self.full_mask:
                 return reached
@@ -319,8 +331,7 @@ class _Propagator:
             while m:
                 lsb = m & -m
                 m ^= lsb
-                v = lsb.bit_length()
-                for gi in self.occ.get(v, ()):
+                for gi in occ.get(lsb.bit_length(), ()):
                     counts[gi] -= 1
                     if counts[gi] == 0:
                         new = self.head_masks[gi] & ~reached

@@ -84,18 +84,24 @@ def price_c(b: VarSet, b2: VarSet) -> int:
     return len(b2 - b)
 
 
-def body_graph_c(inst: KeyHornInstance) -> BodyGraph:
-    """Complete body graph under the clause-count arc costs."""
-    bodies = inst.bodies
-    masks = [b.mask for b in bodies]
-    weight = tuple(
-        tuple(
-            (masks[j] & ~masks[i]).bit_count() if i != j else 0
-            for j in range(inst.m)
-        )
-        for i in range(inst.m)
-    )
-    return BodyGraph(bodies, weight)
+def intersection_sizes(inst: KeyHornInstance) -> list[list[int]]:
+    """The m x m table of |B_i & B_j| that the C and L body graphs (and the
+    partition bound through the C graph) are derived from; row i, column j.
+    Counted once per instance and passed to them as ``inter``."""
+    masks = [b.mask for b in inst.bodies]
+    return [[(a & b).bit_count() for b in masks] for a in masks]
+
+
+def body_graph_c(inst: KeyHornInstance, inter: list[list[int]] | None = None) -> BodyGraph:
+    """Complete body graph under the clause-count arc costs: the weight of
+    i -> j is |B_j \\ B_i| = |B_j| - |B_i & B_j|, read off ``inter`` (the
+    instance's ``intersection_sizes``, counted here when not given)."""
+    if inter is None:
+        inter = intersection_sizes(inst)
+    sizes = [len(b) for b in inst.bodies]
+    # the diagonal is |B_i| - |B_i| = 0
+    weight = tuple(tuple(s - x for s, x in zip(sizes, row)) for row in inter)
+    return BodyGraph(inst.bodies, weight)
 
 
 def lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFormula:
@@ -151,7 +157,7 @@ def lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFormul
     return LambdaFormula(path, HornCNF(inst.n, groups), dist)
 
 
-def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
+def body_graph_l(inst: KeyHornInstance, inter: list[list[int]] | None = None) -> BodyGraph:
     """Complete body graph under the literal arc costs.
 
     ``weight[i][j]`` equals ``lambda_formula(inst, bodies[i], bodies[j]).weight``:
@@ -167,9 +173,10 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
     bodies of equal size is harmless: every candidate is a real chain.
 
     Identity: |B_v \\ (B_i | B_u)| = |B_v| - |B_v & B_i| - |B_v & B_u|
-    + |B_u & B_v & B_i|, so the pairwise intersection sizes are counted
-    once, and the triple term, nonzero only for bodies sharing a variable of
-    B_u & B_i, is added through per-variable holder lists.
+    + |B_u & B_v & B_i|, so the pairwise intersection sizes come from
+    ``inter`` (the instance's ``intersection_sizes``, counted here when not
+    given), and the triple term, nonzero only for bodies sharing a variable
+    of B_u & B_i, is added through per-variable holder lists.
     """
     bodies = inst.bodies
     m = inst.m
@@ -192,7 +199,9 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
     guard = ones << (w - 1)
     field = (1 << w) - 1
     packed_sizes = pack(sizes)
-    inter = [pack([(a & b).bit_count() for b in masks]) for a in masks]
+    if inter is None:
+        inter = intersection_sizes(inst)
+    overlap = [pack(row) for row in inter]
     units = [1 << (v * w) for v in range(m)]
     holders: dict[int, list[int]] = {}  # variable bit -> the units of the bodies holding it
     for v, mask in enumerate(masks):
@@ -206,7 +215,7 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
     for i in range(m):
         while sizes[smaller] < sizes[i]:
             smaller += 1
-        outside = packed_sizes - inter[i]  # |B_v \ B_i|
+        outside = packed_sizes - overlap[i]  # |B_v \ B_i|
         dist = (sizes[i] + 1) * outside
         for u in range(smaller - 1, -1, -1):
             du = (dist >> (u * w)) & field
@@ -216,7 +225,7 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
                 bit = common & -common
                 common ^= bit
                 triple += sum(holders[bit])
-            cand = du * ones + (sizes[u] + 1) * (outside - inter[u] + triple)
+            cand = du * ones + (sizes[u] + 1) * (outside - overlap[u] + triple)
             # fields where dist >= cand keep their guard bit; take cand there
             ge = ((dist | guard) - cand) & guard
             dist ^= (dist ^ cand) & (ge - (ge >> (w - 1)))

@@ -23,7 +23,9 @@ from keyhorn import (
     UniverseMismatchError,
     VarSet,
     VerifyResult,
+    body_graph_l,
     gen_random,
+    min_in_arborescence,
 )
 from keyhorn.core import _Propagator
 from keyhorn.graph import BodyGraph
@@ -481,3 +483,33 @@ def ref_lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFo
         head_mask = (target_mask if v == m else masks[v]) & ~(smask | masks[u])
         groups.append(ClauseGroup(bodies[u], VarSet._raw(inst.n, head_mask)))
     return LambdaFormula(tuple(path), HornCNF(inst.n, groups), dist)
+
+
+def ref_procedure2(inst: KeyHornInstance) -> HornCNF:
+    """``procedure2`` with every tree arc realized by ``ref_lambda_formula``,
+    as the package had it before arcs without a tying detour skipped the
+    search: the oracle for the chain shortcut."""
+    g = body_graph_l(inst)
+    arb = min_in_arborescence(g, root=0)
+    bodies = inst.bodies
+    groups = []
+    for x, s in arb.succ.items():
+        groups.extend(ref_lambda_formula(inst, bodies[x], bodies[s]).formula.groups)
+    groups.append(ClauseGroup(bodies[0], bodies[0].complement()))
+    return HornCNF(inst.n, groups)
+
+
+# ---------------------------------------------------------------------------
+# Reference partition bound: the direct recount of |B_j \ B_i| the package
+# used before the bound was read off the C body graph.
+# ---------------------------------------------------------------------------
+
+
+def ref_lower_bound_partition_c(inst: KeyHornInstance) -> int:
+    masks = [b.mask for b in inst.bodies]
+    total = 0
+    for i, bi in enumerate(masks):
+        total += min(
+            (masks[j] & ~bi).bit_count() for j in range(inst.m) if j != i
+        )
+    return total

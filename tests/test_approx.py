@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from keyhorn import (
     Measure,
     MEASURES,
     VarSet,
+    body_graph_c,
     guarantee_factor,
     hamiltonian_formula,
     lower_bound,
@@ -19,9 +21,14 @@ from keyhorn import (
     verify_representation,
 )
 
-from keyhorn import approx, cli
+from keyhorn import approx, cli, graph
 
-from helpers import counting, random_instances
+from helpers import (
+    counting,
+    random_instances,
+    random_sperner_instance,
+    ref_lower_bound_partition_c,
+)
 
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
 SINGLETONS = KeyHornInstance(3, [VarSet(3, [1]), VarSet(3, [2]), VarSet(3, [3])])
@@ -57,6 +64,20 @@ class TestLowerBounds:
         for inst in random_instances(40, 3100):
             want = max(inst.m, inst.n, lower_bound_partition_c(inst))
             assert lower_bound(inst, Measure.C) == want
+
+    def test_partition_is_the_c_graph_row_minima(self):
+        rng = random.Random(3150)
+        for _ in range(300):
+            inst = random_sperner_instance(rng, rng.randint(3, 12), rng.randint(2, 9))
+            if inst.m < 2:
+                continue
+            g = body_graph_c(inst)
+            minima = sum(
+                min(w for j, w in enumerate(row) if j != i) for i, row in enumerate(g.weight)
+            )
+            want = ref_lower_bound_partition_c(inst)
+            assert lower_bound_partition_c(inst) == lower_bound_partition_c(inst, g) == want
+            assert minima == want
 
     def test_requires_normalized(self):
         raw = KeyHornInstance(4, [VarSet(4, [1, 2]), VarSet(4, [1, 3])])
@@ -179,13 +200,28 @@ class TestCandidateTable:
                 assert verify_representation(minimize(inst, mu).formula, inst)
 
     def test_each_candidate_built_once_per_instance(self, monkeypatch):
-        names = ("hamiltonian_formula", "procedure1", "procedure2", "lower_bound_partition_c")
+        names = (
+            "hamiltonian_formula",
+            "procedure1",
+            "procedure2",
+            "lower_bound_partition_c",
+            "body_graph_c",
+        )
         calls = {name: counting(monkeypatch, approx, name) for name in names}
-        minimize_all(random_instances(1, 3300)[0])
+        # the intersection table, wherever it is counted
+        tables = counting(monkeypatch, approx, "intersection_sizes")
+        graph_tables = counting(monkeypatch, graph, "intersection_sizes")
+        inst = random_instances(1, 3300)[0]
+        minimize_all(inst)
         for name in ("hamiltonian_formula", "procedure1", "procedure2"):
             assert len(calls[name]) == 1
-        # once, for the table's C bound
+        # once, for the table's C bound, from the one C graph
         assert len(calls["lower_bound_partition_c"]) == 1
+        assert len(calls["body_graph_c"]) == 1
+        assert len(tables) == 1 and graph_tables == []
+        minimize(inst, Measure.B)
+        assert len(tables) == 1 and graph_tables == []
+        assert len(calls["body_graph_c"]) == 1
 
     def test_forced_cycle_for_all_measures_builds_it_once(self, tmp_path, monkeypatch, capsys):
         inst = random_instances(1, 3400)[0]

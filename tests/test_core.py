@@ -391,10 +391,45 @@ class TestPropagator:
         phi = HornCNF.of(5, [((1,), (2,)), ((1, 3), (4,))])
         prop = _Propagator(phi)
         prop.add_group(VarSet(5, [1, 3]).mask, VarSet(5, [5]).mask)
-        assert len(prop.body_masks) == 2
+        assert len(prop.slot) == 2
         assert prop.closure_mask(VarSet(5, [1, 3]).mask) == VarSet.full(5).mask
         prop.add_group(VarSet(5, [2]).mask, VarSet(5, [3]).mask)
-        assert len(prop.body_masks) == 3
+        assert len(prop.slot) == 3
+
+    def test_closures_match_a_naive_fixpoint(self):
+        # the counters start from each body's size, decremented for the bits
+        # of z; the naive fixpoint is the last round of forward_chain_trace
+        rng = random.Random(8800)
+        seen = {"z_holds_a_body": 0, "new_slot": 0, "merged_slot": 0, "full": 0}
+        for _ in range(1500):
+            phi = random_cnf(rng, max_n=9)
+            n = phi.n
+            if rng.random() < 0.3:
+                # a group that reaches the full set from a small body
+                body = VarSet(n, [rng.randint(1, n)])
+                phi = HornCNF(n, phi.groups + (ClauseGroup(body, body.complement()),))
+            prop = _Propagator(phi)
+            groups = list(phi.groups)
+            for _ in range(rng.randint(0, 3)):
+                if groups and rng.random() < 0.5:
+                    body = rng.choice(groups).body
+                    seen["merged_slot"] += 1
+                else:
+                    body = VarSet(n, rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+                    seen["new_slot"] += body.mask not in prop.slot
+                heads = random_subset(rng, n) - body
+                prop.add_group(body.mask, heads.mask)
+                groups.append(ClauseGroup(body, heads))
+            naive = HornCNF(n, groups)
+            for _ in range(4):
+                z = random_subset(rng, n)
+                if groups and rng.random() < 0.5:
+                    z = z | rng.choice(groups).body
+                seen["z_holds_a_body"] += any(g.body.issubset(z) for g in groups)
+                want = forward_chain_trace(naive, z)[-1]
+                assert prop.closure_mask(z.mask) == want.mask
+                seen["full"] += want.is_full()
+        assert min(seen.values()) > 100, seen
 
 
 class TestKeyHornInstance:

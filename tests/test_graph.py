@@ -36,6 +36,7 @@ from helpers import (
     ref_body_graph_l,
     ref_lambda_formula,
     ref_out_parents,
+    ref_procedure2,
     ref_rooted_in_succ,
 )
 
@@ -169,19 +170,56 @@ class TestLambdaFormulaMatchesReference:
         # the draws reach the tie-breaks the oracle pins
         assert detours > 100 and zero_arcs > 100
 
-    def test_procedure2_arcs(self, monkeypatch):
-        clique = [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
+
+class TestProcedure2Chains:
+    """``procedure2`` emits a tree arc x -> s as the direct group
+    ``B_x -> B_s \\ B_x`` unless a detour ties its weight, and otherwise calls
+    ``lambda_formula``; either way the groups are those of the reference
+    chain ``helpers.ref_lambda_formula(inst, B_x, B_s)``."""
+
+    CLIQUE = gen_hydra([(a, b) for a in range(1, 9) for b in range(a + 1, 9)], 8)
+
+    def test_every_ordered_pair_matches_reference(self, monkeypatch):
+        # (family, whether every arc has a tying detour): on the clique each
+        # one does; the others reach both the shortcut and the fallback
+        families = [
+            ([gen_projective(3).instance()], False),
+            ([gen_projective(4).instance()], False),
+            ([self.CLIQUE], True),
+            (random_instances(300, 5100, n_range=(3, 8), m_range=(2, 7), k_range=(2, 5)), False),
+        ]
+        for insts, all_tie in families:
+            calls = counting(monkeypatch, approx, "lambda_formula")
+            pairs = 0
+            for inst in insts:
+                chain = approx._chain_groups(inst, body_graph_l(inst))
+                for x, bx in enumerate(inst.bodies):
+                    for s, bs in enumerate(inst.bodies):
+                        if x != s:
+                            pairs += 1
+                            assert chain(x, s) == ref_lambda_formula(inst, bx, bs).formula.groups
+            if all_tie:
+                assert len(calls) == pairs
+            else:
+                assert 0 < len(calls) < pairs
+            monkeypatch.undo()
+
+    def test_procedure2_matches_reference(self):
         for inst in (
             gen_random(120, 24, 16, 5),
             gen_projective(3).instance(),
-            gen_hydra(clique, 8),
+            self.CLIQUE,
+            *random_instances(60, 5200, n_range=(3, 8), m_range=(2, 7), k_range=(2, 5)),
         ):
-            calls = counting(monkeypatch, approx, "lambda_formula")
-            approx.procedure2(inst)
-            assert len(calls) == inst.m - 1
-            for args in calls:
-                self.assert_same(*args)
-            monkeypatch.undo()
+            assert approx.procedure2(inst) == ref_procedure2(inst)
+
+    def test_fallback_counts(self, monkeypatch):
+        # a deterministic work count that pins both branches of the tie check
+        calls = counting(monkeypatch, approx, "lambda_formula")
+        approx.procedure2(gen_random(1000, 200, 50, 1))
+        assert calls == []
+        approx.procedure2(self.CLIQUE)
+        assert len(calls) == self.CLIQUE.m - 1
 
 
 class TestBodyGraphL:
