@@ -20,10 +20,6 @@ from .core import (
     VerificationError,
     VerifyResult,
     canonical_sorted,
-    entails,
-    equivalent,
-    forward_chain,
-    forward_chain_trace,
     measure_size,
     verify_against_family,
     verify_representation,
@@ -62,9 +58,6 @@ from .approx import (
 from .exact import (
     OptResult,
     SearchLimitError,
-    cost_l,
-    cost_lemma_check,
-    opt_exact,
     opt_exact_all,
     price_l_exact,
 )
@@ -103,12 +96,6 @@ __all__ = [
     "body_graph_c",
     "body_graph_l",
     "canonical_sorted",
-    "cost_l",
-    "cost_lemma_check",
-    "entails",
-    "equivalent",
-    "forward_chain",
-    "forward_chain_trace",
     "gen_hydra",
     "gen_projective",
     "gen_random",
@@ -125,7 +112,6 @@ __all__ = [
     "minimize_all",
     "mwscs_2approx",
     "normalize",
-    "opt_exact",
     "opt_exact_all",
     "price_c",
     "price_l_exact",

@@ -343,52 +343,6 @@ class _Propagator:
         return reached
 
 
-def forward_chain(phi: HornCNF, z: VarSet) -> VarSet:
-    """Closure of ``z`` under ``phi``: the least fixpoint containing ``z``
-    closed under every group whose body is already reached."""
-    if phi.n != z.n:
-        raise UniverseMismatchError(f"universe sizes differ: {phi.n} != {z.n}")
-    return VarSet._raw(phi.n, _Propagator(phi).closure_mask(z.mask))
-
-
-def forward_chain_trace(phi: HornCNF, z: VarSet) -> list[VarSet]:
-    """Round-by-round closure: each round adds every head derivable from the
-    current set simultaneously.  Returns the strictly increasing sequence
-    starting at ``z``; the last element is the closure."""
-    if phi.n != z.n:
-        raise UniverseMismatchError(f"universe sizes differ: {phi.n} != {z.n}")
-    rounds = [z]
-    cur = z.mask
-    while True:
-        add = 0
-        for g in phi.groups:
-            if g.body.mask & ~cur == 0:
-                add |= g.heads.mask & ~cur
-        if not add:
-            return rounds
-        cur |= add
-        rounds.append(VarSet._raw(phi.n, cur))
-
-
-def entails(phi: HornCNF, body: VarSet, head: int) -> bool:
-    """Does ``phi`` force ``head`` true whenever all of ``body`` is true?"""
-    if head in body:
-        raise ValueError(f"head {head} lies in the body")
-    return head in forward_chain(phi, body)
-
-
-def equivalent(phi1: HornCNF, phi2: HornCNF) -> bool:
-    """Mutual entailment of all clauses; both formulas must share a universe."""
-    if phi1.n != phi2.n:
-        raise UniverseMismatchError(f"universe sizes differ: {phi1.n} != {phi2.n}")
-    for a, b in ((phi1, phi2), (phi2, phi1)):
-        prop = _Propagator(a)
-        for g in b.groups:
-            if g.heads.mask & ~prop.closure_mask(g.body.mask):
-                return False
-    return True
-
-
 class VerificationError(RuntimeError):
     """An emitted formula failed its forward-chaining check."""
 
@@ -494,12 +448,6 @@ class KeyHornInstance:
             union |= b.mask
             inter &= b.mask
         return union.bit_count() == self.n and inter == 0
-
-    def psi(self) -> HornCNF:
-        """The canonical representation: every body implies all other variables."""
-        return HornCNF(
-            self.n, (ClauseGroup(b, b.complement()) for b in self.bodies)
-        )
 
     def __eq__(self, other: object) -> bool:
         return (

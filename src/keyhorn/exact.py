@@ -1,11 +1,11 @@
 """Exact oracles for desk-scale ground truth.
 
-``opt_exact`` searches clause subsets over the instance's own bodies, which
-is sufficient: some optimal representation uses exactly the minimal bodies,
-and any representation must give every body a clause (its own closure has
-to start) and every variable a clause pointing at it.  ``price_l_exact``
-evaluates the cheapest literal cost of chaining between variable sets by a
-dynamic program over body chains.
+``opt_exact_all`` searches clause subsets over the instance's own bodies,
+which is sufficient: some optimal representation uses exactly the minimal
+bodies, and any representation must give every body a clause (its own
+closure has to start) and every variable a clause pointing at it.
+``price_l_exact`` evaluates the cheapest literal cost of chaining between
+variable sets by a dynamic program over body chains.
 """
 
 from __future__ import annotations
@@ -32,30 +32,6 @@ class OptResult:
     size: int
     formula: HornCNF
     optimal: bool
-
-
-def cost_l(seq: Sequence[VarSet]) -> int:
-    """Literal cost of the chain formula of a set sequence: step i pays
-    (|S_i| + 1) for every element of S_{i+1} not seen before."""
-    if not seq:
-        raise ValueError("sequence must be nonempty")
-    total = 0
-    covered = seq[0].mask
-    for cur, nxt in zip(seq, seq[1:]):
-        total += (len(cur) + 1) * (nxt.mask & ~covered).bit_count()
-        covered |= nxt.mask
-    return total
-
-
-def cost_lemma_check(a: VarSet, b: VarSet, c: VarSet) -> bool:
-    """Self-test of the insertion criterion: going A,B,C is strictly cheaper
-    than going A,C exactly when (|A|-|B|) * |C\\(A|B)| > (|A|+1) * |B\\(A|C)|.
-    Both sides are evaluated independently; returns whether they agree."""
-    lhs = cost_l([a, b, c]) < cost_l([a, c])
-    e = len(b - (a | c))
-    g = len(c - (a | b))
-    rhs = (len(a) - len(b)) * g > (len(a) + 1) * e
-    return lhs == rhs
 
 
 def price_l_exact(
@@ -229,17 +205,6 @@ def _search_weighted(
         ClauseGroup(b, VarSet.from_mask(inst.n, h)) for b, h in zip(inst.bodies, search.best_heads)
     ]
     return OptResult(search.best, HornCNF(inst.n, groups), optimal)
-
-
-def opt_exact(
-    inst: KeyHornInstance,
-    mu: Measure,
-    max_candidates: int = 28,
-    timeout: Optional[float] = None,
-) -> OptResult:
-    """Certified optimal ``mu``-size with a witness formula; see
-    ``opt_exact_all``."""
-    return opt_exact_all(inst, max_candidates, timeout, measures=(mu,))[mu]
 
 
 def opt_exact_all(

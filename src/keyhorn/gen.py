@@ -227,7 +227,7 @@ class SatReductionInstance:
 
     The ground set is T | B_0..B_nv | A_1..A_(nv+1) | M in that order, where
     M holds all eight sign patterns of every clause.  ``bodies`` is
-    (source, z_set, t_block, X_1, Y_1, ..., X_nv, Y_nv); chains realizing
+    (source, z_set, target, X_1, Y_1, ..., X_nv, Y_nv); chains realizing
     the cheapest source-to-target price select X_i or Y_i per variable,
     i.e. a truth assignment.  Evaluating the price is intentionally left to
     the caller: ``ground_n`` runs to hundreds of thousands of elements, so
@@ -239,9 +239,6 @@ class SatReductionInstance:
     beta: int
     tau: int
     ground_n: int
-    t_block: VarSet
-    b_blocks: tuple[VarSet, ...]
-    a_blocks: tuple[VarSet, ...]
     m_block: VarSet
     x_sets: tuple[VarSet, ...]  # X_0 .. X_{nv+1}
     y_sets: tuple[VarSet, ...]  # Y_0 .. Y_{nv+1}
@@ -364,9 +361,6 @@ def gen_sat_reduction(clauses: Sequence[Sequence[int]]) -> SatReductionInstance:
         beta=beta,
         tau=tau,
         ground_n=ground_n,
-        t_block=vs(t_mask),
-        b_blocks=tuple(vs(b) for b in b_masks),
-        a_blocks=tuple(vs(a) for a in a_masks),
         m_block=vs(block(m_start, 8 * m)),
         x_sets=tuple(vs(x) for x in x_masks),
         y_sets=tuple(vs(y) for y in y_masks),

@@ -33,10 +33,13 @@ class BodyGraph:
 
     def __post_init__(self):
         m = len(self.nodes)
-        if len(self.weight) != m or any(len(row) != m for row in self.weight):
+        if len(self.weight) != m:
             raise ValueError("weight matrix shape does not match node count")
-        if any(w < 0 for row in self.weight for w in row):
-            raise ValueError("arc weights must be nonnegative")
+        for row in self.weight:
+            if len(row) != m:
+                raise ValueError("weight matrix shape does not match node count")
+            if min(row) < 0:
+                raise ValueError("arc weights must be nonnegative")
 
     @property
     def m(self) -> int:
@@ -50,22 +53,6 @@ class InArborescence:
 
     root: int
     succ: dict[int, int]
-
-    def validate(self, m: int) -> None:
-        if not 0 <= self.root < m:
-            raise ValueError(f"root {self.root} out of range")
-        if sorted(self.succ) != [x for x in range(m) if x != self.root]:
-            raise ValueError("succ must map exactly the non-root nodes")
-        for x in self.succ:
-            seen = {x}
-            while x != self.root:
-                x = self.succ[x]
-                if x in seen:
-                    raise ValueError("succ contains a cycle")
-                seen.add(x)
-
-    def weight_in(self, g: BodyGraph) -> int:
-        return sum(g.weight[x][s] for x, s in self.succ.items())
 
 
 @dataclass(frozen=True)

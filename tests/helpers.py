@@ -2,8 +2,8 @@
 
 The oracles deliberately use different algorithms than the package: spanning
 in-arborescences are enumerated from successor maps, strongly connected
-subgraphs from arborescence pairs, and random feasibility is checked by raw
-closure fixpoints.
+subgraphs from arborescence pairs, and closures are round-based fixpoints
+rather than the package's counter-based ``_Propagator``.
 """
 
 from __future__ import annotations
@@ -113,6 +113,59 @@ def random_sperner_instance(rng: random.Random, n: int, m: int) -> KeyHornInstan
     return KeyHornInstance(n, fam)
 
 
+def psi(n: int, bodies: Iterable[VarSet]) -> HornCNF:
+    """The canonical representation: every body implies all other variables."""
+    return HornCNF(n, (ClauseGroup(b, b.complement()) for b in bodies))
+
+
+def forward_chain_trace(phi: HornCNF, z: VarSet) -> list[VarSet]:
+    """Round-by-round closure: each round adds every head derivable from the
+    current set simultaneously.  Returns the strictly increasing sequence
+    starting at ``z``; the last element is the closure."""
+    rounds = [z]
+    cur = z.mask
+    while True:
+        add = 0
+        for g in phi.groups:
+            if g.body.mask & ~cur == 0:
+                add |= g.heads.mask & ~cur
+        if not add:
+            return rounds
+        cur |= add
+        rounds.append(VarSet.from_mask(phi.n, cur))
+
+
+def equivalent(phi1: HornCNF, phi2: HornCNF) -> bool:
+    """Each formula entails every clause of the other."""
+    return all(
+        g.heads.issubset(forward_chain_trace(a, g.body)[-1])
+        for a, b in ((phi1, phi2), (phi2, phi1))
+        for g in b.groups
+    )
+
+
+def cost_l(seq: list[VarSet]) -> int:
+    """Literal cost of the chain formula of a set sequence: step i pays
+    (|S_i| + 1) for every element of S_{i+1} not seen before."""
+    if not seq:
+        raise ValueError("sequence must be nonempty")
+    total = 0
+    covered = seq[0].mask
+    for cur, nxt in zip(seq, seq[1:]):
+        total += (len(cur) + 1) * (nxt.mask & ~covered).bit_count()
+        covered |= nxt.mask
+    return total
+
+
+def cost_lemma_check(a: VarSet, b: VarSet, c: VarSet) -> bool:
+    """The insertion criterion: going A,B,C is strictly cheaper than going
+    A,C exactly when (|A|-|B|) * |C\\(A|B)| > (|A|+1) * |B\\(A|C)|.  Both
+    sides are evaluated independently; returns whether they agree."""
+    lhs = cost_l([a, b, c]) < cost_l([a, c])
+    e, g = len(b - (a | c)), len(c - (a | b))
+    return lhs == ((len(a) - len(b)) * g > (len(a) + 1) * e)
+
+
 # ---------------------------------------------------------------------------
 # Graph oracles
 # ---------------------------------------------------------------------------
@@ -124,20 +177,27 @@ def all_in_arborescences(m: int, root: int):
     choices = [[y for y in range(m) if y != x] for x in others]
     for combo in itertools.product(*choices):
         succ = dict(zip(others, combo))
-        ok = True
-        for x in others:
-            seen = {x}
-            y = x
-            while y != root:
-                y = succ[y]
-                if y in seen:
-                    ok = False
-                    break
-                seen.add(y)
-            if not ok:
-                break
-        if ok:
+        if _reaches_root(succ, root):
             yield succ
+
+
+def _reaches_root(succ: dict[int, int], root: int) -> bool:
+    """Following ``succ`` from every node reaches ``root`` without a cycle."""
+    for x in succ:
+        seen = {x}
+        while x != root:
+            x = succ[x]
+            if x in seen:
+                return False
+            seen.add(x)
+    return True
+
+
+def arborescence_weight(arb, g: BodyGraph) -> int:
+    """Weight of ``arb`` in ``g``, after asserting that it spans ``g``."""
+    assert sorted(arb.succ) == [x for x in range(g.m) if x != arb.root]
+    assert _reaches_root(arb.succ, arb.root)
+    return sum(g.weight[x][s] for x, s in arb.succ.items())
 
 
 def brute_min_in_arborescence(weight, root: Optional[int] = None):

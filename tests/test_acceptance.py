@@ -12,14 +12,11 @@ from fractions import Fraction
 
 
 from keyhorn import (
-    HornCNF,
     KeyHornInstance,
     Measure,
     MEASURES,
     TrivialInstance,
     VarSet,
-    cost_lemma_check,
-    forward_chain,
     gen_projective,
     gen_random,
     gen_sat_reduction,
@@ -39,13 +36,18 @@ from keyhorn import (
     verify_representation,
 )
 from keyhorn.cli import main, write_bodies
+from keyhorn.core import _Propagator
 from keyhorn.gen import GenerationError
 from keyhorn.graph import BodyGraph, body_graph_c
 
 from helpers import (
+    arborescence_weight,
     brute_min_in_arborescence,
     brute_mwscs,
+    cost_lemma_check,
+    forward_chain_trace,
     is_strongly_connected,
+    psi,
     random_instances,
     random_raw_family,
     random_subset,
@@ -98,7 +100,7 @@ def test_criterion_2_lambda_approximation_bound():
         s2 = random_subset(rng, inst.n)
         lam = lambda_formula(inst, s, s2)
         exact = price_l_exact(inst, s, s2)
-        assert s2.issubset(forward_chain(lam.formula, s) | s)
+        assert s2.issubset(forward_chain_trace(lam.formula, s)[-1])
         assert exact <= lam.weight
         assert 17 * lam.weight <= 54 * exact  # weight <= (54/17) * price
         checked += 1
@@ -197,13 +199,6 @@ def test_criterion_5_sat_reduction_structural_suite():
     )
 
 
-def _raw_family_psi(n, fam):
-    """Canonical representation of a raw family (duplicates welcome)."""
-    from keyhorn import ClauseGroup
-
-    return HornCNF(n, (ClauseGroup(b, b.complement()) for b in set(fam)))
-
-
 def test_criterion_6_closure_measure_property_suite():
     t0 = time.perf_counter()
     rng = random.Random(60_000)
@@ -212,14 +207,16 @@ def test_criterion_6_closure_measure_property_suite():
     while families < 1000:
         n, fam = random_raw_family(rng)
         families += 1
-        phi = _raw_family_psi(n, fam)
-        # closure properties on the canonical representation
+        phi = psi(n, fam)
+        # closure properties of the propagator on the canonical representation
+        prop = _Propagator(phi)
         z = random_subset(rng, n)
         z2 = z | random_subset(rng, n)
-        cl = forward_chain(phi, z)
-        assert z.issubset(cl)
-        assert cl.issubset(forward_chain(phi, z2))
-        assert forward_chain(phi, cl) == cl
+        cl = prop.closure_mask(z.mask)
+        assert z.mask & ~cl == 0
+        assert cl & ~prop.closure_mask(z2.mask) == 0
+        assert prop.closure_mask(cl) == cl
+        assert cl == forward_chain_trace(phi, z)[-1].mask
         # measure identities
         assert measure_size(phi, Measure.BC) == measure_size(phi, Measure.B) + measure_size(phi, Measure.C)
         assert measure_size(phi, Measure.TA) == measure_size(phi, Measure.BA) + measure_size(phi, Measure.C)
@@ -248,11 +245,9 @@ def test_criterion_7_arborescence_exactness():
         g = BodyGraph(nodes, w)
         root = rng.randrange(m)
         arb = min_in_arborescence(g, root=root)
-        arb.validate(m)
-        assert arb.weight_in(g) == brute_min_in_arborescence(w, root)[0]
+        assert arborescence_weight(arb, g) == brute_min_in_arborescence(w, root)[0]
         arb_free = min_in_arborescence(g)
-        arb_free.validate(m)
-        assert arb_free.weight_in(g) == brute_min_in_arborescence(w)[0]
+        assert arborescence_weight(arb_free, g) == brute_min_in_arborescence(w)[0]
         arcs, weight = mwscs_2approx(g)
         assert is_strongly_connected(m, arcs)
         opt = brute_mwscs(w)

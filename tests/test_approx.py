@@ -25,6 +25,8 @@ from keyhorn import approx, cli, graph
 
 from helpers import (
     counting,
+    equivalent,
+    psi,
     random_instances,
     random_sperner_instance,
     ref_lower_bound_partition_c,
@@ -155,18 +157,16 @@ class TestMinimize:
         assert guarantee_factor(big, Measure.C) == min(7 + 1, 6 + 2, 64)
 
     def test_results_verify_and_bound(self):
-        from keyhorn import equivalent
-
         for inst in random_instances(40, 5500):
-            psi = inst.psi()
-            assert verify_representation(psi, inst)
+            canonical = psi(inst.n, inst.bodies)
+            assert verify_representation(canonical, inst)
             for mu in MEASURES:
                 res = minimize(inst, mu)
                 assert verify_representation(res.formula, inst)
                 assert res.size == measure_size(res.formula, mu)
                 assert res.lower_bound <= res.size
             # any verified representation defines the same function
-            assert equivalent(minimize(inst, Measure.C).formula, psi)
+            assert equivalent(minimize(inst, Measure.C).formula, canonical)
 
     def test_minimize_all_matches_minimize(self):
         for inst in random_instances(30, 6600):

@@ -20,7 +20,7 @@ from keyhorn.cli import (
     write_horn,
 )
 
-from helpers import counting, random_instances
+from helpers import counting, random_cnf, random_instances
 
 TRIANGLE_TEXT = "c triangle\np keyhorn 3 3\n1 2\n2 3\n1 3\n"
 
@@ -60,17 +60,20 @@ class TestParseBodies:
         with pytest.raises(ParseError, match="duplicate"):
             parse_bodies("p keyhorn 3 1\n2 2\n")
 
-    def test_roundtrip(self):
-        rng = random.Random(31)
-        for _ in range(50):
-            n = rng.randint(2, 8)
-            bodies = []
-            for _ in range(rng.randint(1, 5)):
-                size = rng.randint(1, n - 1)
-                bodies.append(VarSet(n, rng.sample(range(1, n + 1), size)))
-            text = write_bodies(n, bodies)
-            n2, parsed = parse_bodies(text)
-            assert n2 == n and parsed == bodies
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_roundtrip(self, seed):
+        # both file formats: .bodies keeps the body order, .horn the formula
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        bodies = []
+        for _ in range(rng.randint(1, 5)):
+            size = rng.randint(1, n - 1)
+            bodies.append(VarSet(n, rng.sample(range(1, n + 1), size)))
+        n2, parsed = parse_bodies(write_bodies(n, bodies))
+        assert n2 == n and parsed == bodies
+        phi = random_cnf(rng)
+        assert parse_horn(write_horn(phi)) == phi
 
 
 class TestParseHorn:

@@ -1,6 +1,9 @@
+import ast
 import random
+import re
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +18,6 @@ from keyhorn import (
     UniverseMismatchError,
     VarSet,
     canonical_sorted,
-    entails,
-    equivalent,
-    forward_chain,
-    forward_chain_trace,
     hamiltonian_formula,
     measure_size,
     procedure1,
@@ -28,7 +27,15 @@ from keyhorn import (
 )
 from keyhorn.core import _Propagator
 
-from helpers import random_cnf, random_instances, random_subset, ref_verify_against_family
+from helpers import (
+    equivalent,
+    forward_chain_trace,
+    psi,
+    random_cnf,
+    random_instances,
+    random_subset,
+    ref_verify_against_family,
+)
 
 
 def warmup_formula():
@@ -183,14 +190,17 @@ class TestMeasures:
 
 
 class TestForwardChain:
+    """``_Propagator.closure_mask``, the closure every verification runs,
+    against the round-based fixpoint ``helpers.forward_chain_trace``."""
+
     def test_warmup_closures(self):
-        phi = warmup_formula()
-        assert sorted(forward_chain(phi, VarSet(5, [1]))) == [1, 2]
-        assert sorted(forward_chain(phi, VarSet(5, [1, 3]))) == [1, 2, 3, 4, 5]
+        prop = _Propagator(warmup_formula())
+        assert prop.closure_mask(VarSet(5, [1]).mask) == VarSet(5, [1, 2]).mask
+        assert prop.closure_mask(VarSet(5, [1, 3]).mask) == VarSet.full(5).mask
 
     def test_full_set_fixpoint(self):
-        phi = warmup_formula()
-        assert forward_chain(phi, VarSet.full(5)) == VarSet.full(5)
+        full = VarSet.full(5).mask
+        assert _Propagator(warmup_formula()).closure_mask(full) == full
 
     def test_trace_rounds(self):
         phi = warmup_formula()
@@ -212,7 +222,7 @@ class TestForwardChain:
         for _ in range(100):
             phi = random_cnf(rng)
             z = random_subset(rng, phi.n)
-            assert forward_chain_trace(phi, z)[-1] == forward_chain(phi, z)
+            assert forward_chain_trace(phi, z)[-1].mask == _Propagator(phi).closure_mask(z.mask)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 10**9))
@@ -222,22 +232,17 @@ class TestForwardChain:
         zrng = random.Random(zseed)
         z = random_subset(zrng, phi.n)
         z2 = z | random_subset(zrng, phi.n)
-        cl = forward_chain(phi, z)
-        assert z.issubset(cl)                                  # extensive
-        assert cl.issubset(forward_chain(phi, z2))             # monotone
-        assert forward_chain(phi, cl) == cl                    # idempotent
+        prop = _Propagator(phi)
+        cl = prop.closure_mask(z.mask)
+        assert z.mask & ~cl == 0                               # extensive
+        assert cl & ~prop.closure_mask(z2.mask) == 0           # monotone
+        assert prop.closure_mask(cl) == cl                     # idempotent
+        assert cl == forward_chain_trace(phi, z)[-1].mask      # naive fixpoint
 
 
 class TestEntailsEquivalent:
-    def test_entails_examples(self):
-        phi = warmup_formula()
-        assert entails(phi, VarSet(5, [1]), 2)
-        assert not entails(phi, VarSet(5, [3]), 4)
-        assert not entails(HornCNF(2), VarSet(2, [1]), 2)
-
-    def test_entails_rejects_head_in_body(self):
-        with pytest.raises(ValueError):
-            entails(warmup_formula(), VarSet(5, [1]), 1)
+    """``helpers.equivalent``: the oracle that checks a minimized formula
+    against the canonical representation."""
 
     def test_equivalent_reordered(self):
         a = warmup_formula()
@@ -259,7 +264,7 @@ class TestVerify:
     def test_triangle_psi_and_cycle(self):
         cycle = HornCNF.of(3, [((1, 2), (3,)), ((2, 3), (1,)), ((1, 3), (2,))])
         assert verify_representation(cycle, TRIANGLE)
-        assert verify_representation(TRIANGLE.psi(), TRIANGLE)
+        assert verify_representation(psi(TRIANGLE.n, TRIANGLE.bodies), TRIANGLE)
 
     def test_reject_with_closure_certificate(self):
         partial = HornCNF.of(3, [((1, 2), (3,))])
@@ -460,3 +465,22 @@ class TestPackageExports:
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         }
         assert sorted(keyhorn.__all__) == sorted(public)
+
+    def test_every_export_is_used_by_the_package_or_documented(self):
+        # a name counts as used when some module other than __init__ refers
+        # to it in code (a Name or an Attribute, so docstrings do not count),
+        # or when README's Library section names it
+        src = Path(keyhorn.__file__).parent
+        used = set()
+        for path in src.glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"\w+", library))
+        assert sorted(set(keyhorn.__all__) - used - documented) == []

@@ -9,15 +9,11 @@ from keyhorn import (
     NoBodyInSourceError,
     SearchLimitError,
     VarSet,
-    cost_l,
-    cost_lemma_check,
-    forward_chain,
     lambda_formula,
     lower_bound,
     measure_size,
     minimize,
     normalize,
-    opt_exact,
     opt_exact_all,
     price_l_exact,
     verify_representation,
@@ -26,7 +22,14 @@ from keyhorn import (
 from keyhorn import approx, exact
 from keyhorn.cli import parse_bodies
 
-from helpers import counting, random_instances, random_subset
+from helpers import (
+    cost_l,
+    cost_lemma_check,
+    counting,
+    forward_chain_trace,
+    random_instances,
+    random_subset,
+)
 
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
 SINGLETONS = KeyHornInstance(3, [VarSet(3, [1]), VarSet(3, [2]), VarSet(3, [3])])
@@ -132,7 +135,7 @@ class TestPriceLExact:
                         for i, v in combo
                     ]
                     phi = HornCNF(inst.n, groups)
-                    if s2.issubset(forward_chain(phi, s)):
+                    if s2.issubset(forward_chain_trace(phi, s)[-1]):
                         cost = measure_size(phi, Measure.L)
                         if best is None or cost < best:
                             best = cost
@@ -170,7 +173,7 @@ class TestOptExact:
             assert res[mu].size == want and res[mu].optimal
 
     def test_singletons_c(self):
-        res = opt_exact(SINGLETONS, Measure.C)
+        res = opt_exact_all(SINGLETONS, measures=(Measure.C,))[Measure.C]
         assert res.size == 3
         assert verify_representation(res.formula, SINGLETONS)
 
@@ -186,8 +189,9 @@ class TestOptExact:
 
     def test_b_ba_closed_forms(self):
         for inst in random_instances(25, 2345):
-            assert opt_exact(inst, Measure.B).size == inst.m
-            assert opt_exact(inst, Measure.BA).size == sum(len(b) for b in inst.bodies)
+            opts = opt_exact_all(inst, measures=(Measure.B, Measure.BA))
+            assert opts[Measure.B].size == inst.m
+            assert opts[Measure.BA].size == sum(len(b) for b in inst.bodies)
 
     def test_respects_lower_bounds_and_minimize(self):
         for inst in random_instances(40, 3456):
@@ -201,7 +205,7 @@ class TestOptExact:
             8, [VarSet(8, [1, 2]), VarSet(8, [3, 4]), VarSet(8, [5, 6]), VarSet(8, [7, 8])]
         )
         with pytest.raises(SearchLimitError):
-            opt_exact(inst, Measure.C, max_candidates=10)
+            opt_exact_all(inst, max_candidates=10, measures=(Measure.C,))
 
     @pytest.mark.parametrize(
         "text, found, seed",
@@ -218,7 +222,7 @@ class TestOptExact:
         # the clock is read for the deadline, then once every 64 search nodes
         reads = iter([0.0] * 64)
         monkeypatch.setattr(exact.time, "monotonic", lambda: next(reads, 2.0))
-        res = opt_exact(inst, Measure.C, timeout=1.0)
+        res = opt_exact_all(inst, timeout=1.0, measures=(Measure.C,))[Measure.C]
         assert (res.size, res.optimal) == (found, False)
         assert verify_representation(res.formula, inst)
         assert measure_size(res.formula, Measure.C) == found
@@ -227,18 +231,18 @@ class TestOptExact:
         inst = KeyHornInstance(
             6, [VarSet(6, [1, 2]), VarSet(6, [3, 4]), VarSet(6, [5, 6])]
         )
-        res = opt_exact(inst, Measure.C, timeout=-1.0)
+        res = opt_exact_all(inst, timeout=-1.0, measures=(Measure.C,))[Measure.C]
         assert not res.optimal
         assert verify_representation(res.formula, inst)
-        true_opt = opt_exact(inst, Measure.C).size
+        true_opt = opt_exact_all(inst, measures=(Measure.C,))[Measure.C].size
         assert res.size >= true_opt
 
     @pytest.mark.parametrize(
         "run, searches",
         [
-            (lambda inst: opt_exact(inst, Measure.L), [Measure.L]),
-            (lambda inst: opt_exact(inst, Measure.C), [Measure.C]),
-            (lambda inst: opt_exact(inst, Measure.B), [Measure.C]),
+            (lambda inst: opt_exact_all(inst, measures=(Measure.L,)), [Measure.L]),
+            (lambda inst: opt_exact_all(inst, measures=(Measure.C,)), [Measure.C]),
+            (lambda inst: opt_exact_all(inst, measures=(Measure.B,)), [Measure.C]),
             (opt_exact_all, [Measure.C, Measure.L]),
         ],
         ids=["L", "C", "B", "all"],

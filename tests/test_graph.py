@@ -11,7 +11,6 @@ from keyhorn import (
     VarSet,
     body_graph_c,
     body_graph_l,
-    forward_chain,
     gen_hydra,
     gen_projective,
     gen_random,
@@ -25,9 +24,11 @@ from keyhorn import approx, graph
 from keyhorn.graph import BodyGraph, _min_arborescence, _root_weights
 
 from helpers import (
+    arborescence_weight,
     brute_min_in_arborescence,
     brute_mwscs,
     counting,
+    forward_chain_trace,
     is_strongly_connected,
     random_instances,
     random_sperner_instance,
@@ -60,6 +61,18 @@ class TestPriceC:
     def test_triangle_inequality(self, am, bm, cm):
         a, b, c = (VarSet.from_mask(8, x) for x in (am, bm, cm))
         assert price_c(a, c) <= price_c(a, b) + price_c(b, c)
+
+
+class TestBodyGraph:
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            graph_of([[0, 1, 1], [1, 0], [1, 1, 0]])
+        with pytest.raises(ValueError, match="shape"):
+            BodyGraph(graph_of([[0, 1], [1, 0]]).nodes, ((0, 1),))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            graph_of([[0, 1, 1], [1, 0, 1], [1, -1, 0]])
 
 
 class TestBodyGraphC:
@@ -135,7 +148,7 @@ class TestLambdaFormula:
                 )
                 s2 = VarSet(inst.n, rng.sample(range(1, inst.n + 1), rng.randint(1, inst.n)))
                 lam = lambda_formula(inst, s, s2)
-                assert s2.issubset(forward_chain(lam.formula, s) | s)
+                assert s2.issubset(forward_chain_trace(lam.formula, s)[-1])
                 assert measure_size(lam.formula, Measure.L) == lam.weight
                 # a shortest path never beats the direct arc
                 b0 = next(b for b in inst.bodies if b.issubset(s))
@@ -279,15 +292,13 @@ class TestBodyGraphLMatchesReference:
 class TestMinInArborescence:
     def test_uniform_weights(self):
         w = [[0 if i == j else 4 for j in range(4)] for i in range(4)]
-        arb = min_in_arborescence(graph_of(w))
-        arb.validate(4)
-        assert arb.weight_in(graph_of(w)) == 12
+        assert arborescence_weight(min_in_arborescence(graph_of(w)), graph_of(w)) == 12
 
     def test_zero_arcs_pick_root(self):
         g = graph_of([[0, 1, 0], [1, 0, 0], [1, 1, 0]])
         arb = min_in_arborescence(g)
         assert arb.root == 2 and arb.succ == {0: 2, 1: 2}
-        assert arb.weight_in(g) == 0
+        assert arborescence_weight(arb, g) == 0
 
     def test_rooted_matches_brute_force(self):
         rng = random.Random(12)
@@ -297,9 +308,8 @@ class TestMinInArborescence:
             g = graph_of(w)
             for root in range(m):
                 arb = min_in_arborescence(g, root=root)
-                arb.validate(m)
                 best, _ = brute_min_in_arborescence(w, root)
-                assert arb.weight_in(g) == best
+                assert arborescence_weight(arb, g) == best
 
     def test_unrooted_matches_brute_force_with_tie_break(self):
         rng = random.Random(13)
@@ -308,9 +318,8 @@ class TestMinInArborescence:
             w = random_weight_matrix(rng, m)
             g = graph_of(w)
             arb = min_in_arborescence(g)
-            arb.validate(m)
             best, _ = brute_min_in_arborescence(w)
-            assert arb.weight_in(g) == best
+            assert arborescence_weight(arb, g) == best
             # smallest root index among optimal roots
             per_root = [brute_min_in_arborescence(w, r)[0] for r in range(m)]
             assert arb.root == min(r for r in range(m) if per_root[r] == best)
@@ -326,7 +335,7 @@ class TestRootWeights:
             m = 2 + i % 8
             g = graph_of(random_weight_matrix(rng, m, hi=(1, 2, 3, 6, 20)[i // 8 % 5]))
             assert _root_weights(g.weight) == [
-                min_in_arborescence(g, root=r).weight_in(g) for r in range(m)
+                arborescence_weight(min_in_arborescence(g, root=r), g) for r in range(m)
             ]
 
     def test_unrooted_root_matches_reference_up_to_m_60(self):
@@ -382,7 +391,7 @@ class TestArborescenceMatchesReference:
             arb = min_in_arborescence(g)
         finally:
             sys.setrecursionlimit(limit)
-        arb.validate(g.m)
+        arborescence_weight(arb, g)
 
 
 class TestMwscs:
