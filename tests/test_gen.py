@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from keyhorn import (
@@ -11,6 +13,7 @@ from keyhorn import (
     measure_size,
     verify_representation,
 )
+from keyhorn.cli import write_bodies, write_horn
 from keyhorn.gen import GenerationError
 
 
@@ -121,6 +124,23 @@ class TestGenProjective:
     def test_deterministic(self):
         a, b = gen_projective(3), gen_projective(3)
         assert a.bodies == b.bodies and a.certificate == b.certificate
+
+    @pytest.mark.parametrize(
+        "d, digest",
+        [
+            (2, "3a8d283a53244195b150dedd2e68f6a156595d36a5bb5b8b2f2caa2e5aa3db6b"),
+            (3, "1cf039a4dbdaa8cadc1667e7b6a5064afe880b3bc95db6e155b168c590d4820c"),
+            (4, "91faa34e75db000be44ab86f873d76f6dd373359804ee2132cff2222e3c79d75"),
+            (5, "710b478773d5b04737dd3828fc833056afccecc64ed36812dbd43d097248f61a"),
+            (6, "97d61b12f78138c09c99ece5842173cfc9e70fb623fb55b7536225d12ebb1f6c"),
+        ],
+    )
+    def test_bodies_and_certificate_pinned(self, d, digest):
+        # recorded from the trace-zero construction; any base hyperplane
+        # whose shifts are the same set gives the same files
+        p = gen_projective(d)
+        text = write_bodies(p.n, p.bodies) + write_horn(p.certificate)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGenSatReduction:
