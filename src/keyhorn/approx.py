@@ -29,7 +29,6 @@ from .graph import (
     BodyGraph,
     body_graph_c,
     body_graph_l,
-    intersection_sizes,
     lambda_formula,
     min_in_arborescence,
 )
@@ -180,12 +179,12 @@ def _chain_groups(inst: KeyHornInstance, g: BodyGraph):
     return chain
 
 
-def procedure2(inst: KeyHornInstance, inter: list[list[int]] | None = None) -> HornCNF:
+def procedure2(inst: KeyHornInstance, g_c: BodyGraph | None = None) -> HornCNF:
     """Literal-count minimizer: a minimum literal-cost spanning
     in-arborescence rooted at a smallest body, each tree arc realized by its
     shortest-path chain formula, plus the root's full clause group.  The
-    body graph is built from ``inter``, the instance's intersection table,
-    when it is given.
+    body graph is derived from ``g_c``, the instance's C body graph, when it
+    is given.
 
     Lemma: a tree arc x -> s of weight t = ``g.weight[x][s]`` is realized by
     the one group ``B_x -> B_s \\ B_x`` unless some v not in {x, s} has
@@ -200,7 +199,7 @@ def procedure2(inst: KeyHornInstance, inter: list[list[int]] | None = None) -> H
     s -> m has an empty head set, which the formula drops.
     """
     _require_normalized(inst)
-    g = body_graph_l(inst, inter)
+    g = body_graph_l(inst, g_c)
     root = 0  # canonical body order puts a smallest body first
     arb = min_in_arborescence(g, root=root)
     bodies = inst.bodies
@@ -225,7 +224,7 @@ STRATEGY_TARGETS = {
 _BUILD = {
     STRATEGY_HAMILTONIAN: lambda table: hamiltonian_formula(table.inst),
     STRATEGY_PROCEDURE1: lambda table: procedure1(table.inst, table.graph_c()),
-    STRATEGY_PROCEDURE2: lambda table: procedure2(table.inst, table.inter()),
+    STRATEGY_PROCEDURE2: lambda table: procedure2(table.inst, table.graph_c()),
 }
 
 
@@ -235,29 +234,21 @@ class CandidateTable:
     every measure.  The table is the one place that scores a candidate, and
     it computes each lower bound once.
 
-    It also counts the pairwise intersection sizes |B_i & B_j| once, on
-    first use, and derives from them both body graphs and, through the C
-    graph, the partition bound; the cycle measures B, BA and TA build none
-    of them."""
+    It builds the C body graph once, on first use, for Procedure 1, the
+    partition bound and the L body graph of Procedure 2; the cycle measures
+    B, BA and TA build no graph."""
 
     def __init__(self, inst: KeyHornInstance):
         _require_normalized(inst)
         self.inst = inst
         self._formulas: dict[str, HornCNF] = {}
         self._bounds: dict[Measure, int] = {}
-        self._inter: list[list[int]] | None = None
         self._graph_c: BodyGraph | None = None
 
-    def inter(self) -> list[list[int]]:
-        """The instance's ``intersection_sizes``, counted on first use."""
-        if self._inter is None:
-            self._inter = intersection_sizes(self.inst)
-        return self._inter
-
     def graph_c(self) -> BodyGraph:
-        """The C body graph, built from ``inter()`` on first use."""
+        """The C body graph, built on first use."""
         if self._graph_c is None:
-            self._graph_c = body_graph_c(self.inst, self.inter())
+            self._graph_c = body_graph_c(self.inst)
         return self._graph_c
 
     def score(self, strategy: str, mu: Measure) -> MinimizationResult:

@@ -375,8 +375,9 @@ def cmd_bounds(args) -> int:
     n, raw, report = _load(args)
     try:
         inst, _rec = normalize(n, raw)
-        bounds = {str(mu): lower_bound(inst, mu) for mu in MEASURES}
-        bounds["C_partition"] = lower_bound_partition_c(inst)
+        g = body_graph_c(inst)
+        bounds = {str(mu): lower_bound(inst, mu, g) for mu in MEASURES}
+        bounds["C_partition"] = lower_bound_partition_c(inst, g)
         report["instance"] = _instance_block(inst)
         report["lower_bounds"] = bounds
     except TrivialInstance as triv:

@@ -39,25 +39,23 @@ def gen_random(n: int, m: int, k: int, seed: int) -> KeyHornInstance:
     if hi < lo:
         raise GenerationError(f"no legal body sizes for n={n}, k={k}")
     rng = random.Random(seed)
-    family: list[VarSet] = []
+    masks: list[int] = []
     failures = 0
     limit = 1000 + 200 * m
-    while len(family) < m:
+    while len(masks) < m:
         if failures > limit:
             raise GenerationError(
                 f"could not place {m} incomparable bodies of size {lo}..{hi} "
                 f"over {n} variables after {limit} rejected samples"
             )
         size = rng.randint(lo, hi)
-        body = VarSet(n, rng.sample(range(1, n + 1), size))
-        comparable = any(
-            body.issubset(other) or other.issubset(body) for other in family
-        )
-        if comparable:
+        body = VarSet(n, rng.sample(range(1, n + 1), size)).mask
+        # comparable: one mask holds the other (equal masks included)
+        if any(body & other in (body, other) for other in masks):
             failures += 1
         else:
-            family.append(body)
-    inst, _rec = normalize(n, family)
+            masks.append(body)
+    inst, _rec = normalize(n, [VarSet._raw(n, b) for b in masks])
     return inst
 
 
@@ -90,30 +88,6 @@ _PRIMITIVE_POLY = {
     6: 0b1000011,
     7: 0b10000011,
 }
-
-
-def _gf_mul(a: int, b: int, deg: int) -> int:
-    poly = _PRIMITIVE_POLY[deg]
-    top = 1 << deg
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= poly
-    return r
-
-
-def _gf_trace(x: int, deg: int) -> int:
-    t = 0
-    y = x
-    for _ in range(deg):
-        t ^= y
-        y = _gf_mul(y, y, deg)
-    assert t in (0, 1), "trace must land in the prime field"
-    return t
 
 
 def _gf_powers(deg: int) -> list[int]:
@@ -176,8 +150,10 @@ def gen_projective(d: int) -> ProjectiveInstance:
     deg = d + 1
     n = (1 << deg) - 1
     powers = _gf_powers(deg)
-    base = frozenset(i for i, e in enumerate(powers) if _gf_trace(e, deg) == 0)
-    assert len(base) == (1 << d) - 1, "trace-zero hyperplane has 2^d - 1 points"
+    # the kernel of the constant-term functional is a hyperplane; the Singer
+    # cycle is transitive on hyperplanes, so its shifts are all of them
+    base = frozenset(i for i, e in enumerate(powers) if e & 1 == 0)
+    assert len(base) == (1 << d) - 1, "a hyperplane has 2^d - 1 points"
 
     shifts = [frozenset((p + j) % n for p in base) for j in range(n)]
     assert len(set(shifts)) == n, "hyperplane shifts must be pairwise distinct"

@@ -10,6 +10,7 @@ All weights are exact integers; no floating point enters this module.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass
 
 from .core import ClauseGroup, HornCNF, KeyHornInstance, VarSet
@@ -71,23 +72,14 @@ def price_c(b: VarSet, b2: VarSet) -> int:
     return len(b2 - b)
 
 
-def intersection_sizes(inst: KeyHornInstance) -> list[list[int]]:
-    """The m x m table of |B_i & B_j| that the C and L body graphs (and the
-    partition bound through the C graph) are derived from; row i, column j.
-    Counted once per instance and passed to them as ``inter``."""
-    masks = [b.mask for b in inst.bodies]
-    return [[(a & b).bit_count() for b in masks] for a in masks]
-
-
-def body_graph_c(inst: KeyHornInstance, inter: list[list[int]] | None = None) -> BodyGraph:
+def body_graph_c(inst: KeyHornInstance) -> BodyGraph:
     """Complete body graph under the clause-count arc costs: the weight of
-    i -> j is |B_j \\ B_i| = |B_j| - |B_i & B_j|, read off ``inter`` (the
-    instance's ``intersection_sizes``, counted here when not given)."""
-    if inter is None:
-        inter = intersection_sizes(inst)
+    i -> j is |B_j \\ B_i|.  It is the one pairwise table an instance
+    counts; the partition bound and ``body_graph_l`` are derived from it."""
+    masks = [b.mask for b in inst.bodies]
     sizes = [len(b) for b in inst.bodies]
-    # the diagonal is |B_i| - |B_i| = 0
-    weight = tuple(tuple(s - x for s, x in zip(sizes, row)) for row in inter)
+    # |B_j| - |B_i & B_j|, which is 0 on the diagonal
+    weight = tuple(tuple(s - (a & b).bit_count() for s, b in zip(sizes, masks)) for a in masks)
     return BodyGraph(inst.bodies, weight)
 
 
@@ -144,7 +136,17 @@ def lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFormul
     return LambdaFormula(path, HornCNF(inst.n, groups), dist)
 
 
-def body_graph_l(inst: KeyHornInstance, inter: list[list[int]] | None = None) -> BodyGraph:
+def _row_layout(m: int, cap: int) -> tuple[struct.Struct, int]:
+    """The narrowest layout that packs a row of m values up to ``cap`` into
+    unsigned little-endian fields of 1, 2, 4 or 8 bytes with one bit to
+    spare, as a ``struct.Struct`` and the field width in bits."""
+    for nb, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
+        if cap.bit_length() < 8 * nb:
+            return struct.Struct(f"<{m}{code}"), 8 * nb
+    raise ValueError(f"arc weights up to {cap} do not fit 8-byte row fields")
+
+
+def body_graph_l(inst: KeyHornInstance, g_c: BodyGraph | None = None) -> BodyGraph:
     """Complete body graph under the literal arc costs.
 
     ``weight[i][j]`` equals ``lambda_formula(inst, bodies[i], bodies[j]).weight``:
@@ -159,51 +161,48 @@ def body_graph_l(inst: KeyHornInstance, inter: list[list[int]] | None = None) ->
     order (a DAG, no heap) gives the exact distances.  Relaxing between
     bodies of equal size is harmless: every candidate is a real chain.
 
-    Identity: |B_v \\ (B_i | B_u)| = |B_v| - |B_v & B_i| - |B_v & B_u|
-    + |B_u & B_v & B_i|, so the pairwise intersection sizes come from
-    ``inter`` (the instance's ``intersection_sizes``, counted here when not
-    given), and the triple term, nonzero only for bodies sharing a variable
-    of B_u & B_i, is added through per-variable holder lists.
+    Identity: with C the clause-count graph ``g_c`` (``body_graph_c``, built
+    here when not given), row i of C is |B_v \\ B_i| over v, the direct arcs
+    up to the factor |B_i| + 1, and |B_v \\ (B_i | B_u)| = C[i][v] + C[u][v]
+    - |B_v| + |B_u & B_v & B_i|.  The triple term, nonzero only for bodies
+    sharing a variable of B_u & B_i, is added through per-variable holder
+    lists.
     """
     bodies = inst.bodies
     m = inst.m
     masks = [b.mask for b in bodies]
     sizes = [len(b) for b in bodies]
+    if g_c is None:
+        g_c = body_graph_c(inst)
     # A row of m small nonnegative integers is one int, field v at bit v*w,
     # so adding, scaling and taking the minimum of rows are a few big-int
     # operations.  Every field value stays below 2**(w-1): the top bit of a
     # field is a guard that a field-wise subtraction never borrows past.  A
     # distance is at most its direct arc, (k+1)*k, and a candidate adds at
     # most one more arc.
-    cap = 2 * (inst.k + 1) * inst.k
-    nb = (cap.bit_length() + 8) // 8
-    w = 8 * nb
+    layout, w = _row_layout(m, 2 * (inst.k + 1) * inst.k)
 
     def pack(values) -> int:
-        return int.from_bytes(b"".join(x.to_bytes(nb, "little") for x in values), "little")
+        return int.from_bytes(layout.pack(*values), "little")
 
     ones = pack([1] * m)
     guard = ones << (w - 1)
     field = (1 << w) - 1
     packed_sizes = pack(sizes)
-    if inter is None:
-        inter = intersection_sizes(inst)
-    overlap = [pack(row) for row in inter]
+    outside = [pack(row) for row in g_c.weight]  # row i: |B_v \ B_i|
     units = [1 << (v * w) for v in range(m)]
-    holders: dict[int, list[int]] = {}  # variable bit -> the units of the bodies holding it
-    for v, mask in enumerate(masks):
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            holders.setdefault(bit, []).append(units[v])
+    holders: dict[int, list[int]] = {}  # variable -> the units of the bodies holding it
+    for v, body in enumerate(bodies):
+        for x in body:
+            holders.setdefault(x, []).append(units[v])
 
     weight_rows = []
     smaller = 0  # canonical order: bodies[:smaller] are the ones smaller than B_i
     for i in range(m):
         while sizes[smaller] < sizes[i]:
             smaller += 1
-        outside = packed_sizes - overlap[i]  # |B_v \ B_i|
-        dist = (sizes[i] + 1) * outside
+        dist = (sizes[i] + 1) * outside[i]
+        rest = outside[i] - packed_sizes  # C[i][v] - |B_v|
         for u in range(smaller - 1, -1, -1):
             du = (dist >> (u * w)) & field
             triple = 0
@@ -211,15 +210,12 @@ def body_graph_l(inst: KeyHornInstance, inter: list[list[int]] | None = None) ->
             while common:
                 bit = common & -common
                 common ^= bit
-                triple += sum(holders[bit])
-            cand = du * ones + (sizes[u] + 1) * (outside - overlap[u] + triple)
+                triple += sum(holders[bit.bit_length()])  # the variable at bit
+            cand = du * ones + (sizes[u] + 1) * (outside[u] + rest + triple)
             # fields where dist >= cand keep their guard bit; take cand there
             ge = ((dist | guard) - cand) & guard
             dist ^= (dist ^ cand) & (ge - (ge >> (w - 1)))
-        row = dist.to_bytes(m * nb, "little")
-        weight_rows.append(
-            tuple(int.from_bytes(row[j : j + nb], "little") for j in range(0, m * nb, nb))
-        )
+        weight_rows.append(layout.unpack(dist.to_bytes(layout.size, "little")))
     return BodyGraph(bodies, tuple(weight_rows))
 
 

@@ -208,20 +208,17 @@ class TestCandidateTable:
             "body_graph_c",
         )
         calls = {name: counting(monkeypatch, approx, name) for name in names}
-        # the intersection table, wherever it is counted
-        tables = counting(monkeypatch, approx, "intersection_sizes")
-        graph_tables = counting(monkeypatch, graph, "intersection_sizes")
+        # a C graph built inside body_graph_l would be counted here
+        graph_calls = counting(monkeypatch, graph, "body_graph_c")
         inst = random_instances(1, 3300)[0]
         minimize_all(inst)
         for name in ("hamiltonian_formula", "procedure1", "procedure2"):
             assert len(calls[name]) == 1
         # once, for the table's C bound, from the one C graph
         assert len(calls["lower_bound_partition_c"]) == 1
-        assert len(calls["body_graph_c"]) == 1
-        assert len(tables) == 1 and graph_tables == []
+        assert len(calls["body_graph_c"]) == 1 and graph_calls == []
         minimize(inst, Measure.B)
-        assert len(tables) == 1 and graph_tables == []
-        assert len(calls["body_graph_c"]) == 1
+        assert len(calls["body_graph_c"]) == 1 and graph_calls == []
 
     def test_forced_cycle_for_all_measures_builds_it_once(self, tmp_path, monkeypatch, capsys):
         inst = random_instances(1, 3400)[0]

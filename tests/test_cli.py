@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli, exact
+from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli, exact, graph
 from keyhorn.cli import (
     ParseError,
     main,
@@ -253,6 +253,12 @@ class TestOtherCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["lower_bounds"]["L"] == 9
         assert report["lower_bounds"]["C_partition"] == 3
+
+    def test_bounds_builds_one_c_graph(self, tri_file, capsys, monkeypatch):
+        # wherever it is looked up: the command, or a bound built unaided
+        built = [counting(monkeypatch, mod, "body_graph_c") for mod in (cli, approx, graph)]
+        assert main(["bounds", "--in", tri_file]) == 0
+        assert sum(map(len, built)) == 1
 
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     def test_resource_errors_exit_2_in_one_line(self, tri_file, capsys, monkeypatch, exc):

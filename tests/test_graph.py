@@ -21,7 +21,7 @@ from keyhorn import (
     price_c,
 )
 from keyhorn import approx, graph
-from keyhorn.graph import BodyGraph, _min_arborescence, _root_weights
+from keyhorn.graph import BodyGraph, _min_arborescence, _root_weights, _row_layout
 
 from helpers import (
     arborescence_weight,
@@ -287,6 +287,42 @@ class TestBodyGraphLMatchesReference:
             gen_random(300, 60, 20, 4100),
         ):
             assert body_graph_l(inst).weight == ref_body_graph_l(inst).weight
+
+    @staticmethod
+    def field_bits(inst) -> int:
+        return _row_layout(inst.m, 2 * (inst.k + 1) * inst.k)[1]
+
+    def test_four_byte_fields(self):
+        # k up to 250 needs 3 bytes, rounded up to 4
+        for seed in range(4200, 4203):
+            inst = gen_random(400, 12, 250, seed)
+            assert self.field_bits(inst) == 32
+            assert body_graph_l(inst).weight == ref_body_graph_l(inst).weight
+
+    def test_eight_byte_fields(self):
+        # two halves of 2**15 variables sharing one more, and a pair across
+        # them that the chain between the halves detours through
+        h = 1 << 15
+        n = 2 * h + 1
+        half = (1 << h) - 1
+        inst = KeyHornInstance(
+            n,
+            [
+                VarSet.from_mask(n, 1 | 1 << h),
+                VarSet.from_mask(n, half | 1 << (2 * h)),
+                VarSet.from_mask(n, half << h | 1 << (2 * h)),
+            ],
+        )
+        assert inst.is_normalized and self.field_bits(inst) == 64
+        weight = body_graph_l(inst).weight
+        assert weight == ref_body_graph_l(inst).weight
+        assert weight[1][2] == (h + 2) * 1 + 3 * (h - 1)
+
+    def test_fields_wider_than_eight_bytes_rejected(self):
+        # k >= 2**31 would need them: 2 * (k + 1) * k reaches 2**63
+        assert _row_layout(2, 2 * 2**31 * (2**31 - 1))[1] == 64
+        with pytest.raises(ValueError, match="8-byte"):
+            _row_layout(2, 2 * (2**31 + 1) * 2**31)
 
 
 class TestMinInArborescence:
