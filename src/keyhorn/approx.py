@@ -74,14 +74,14 @@ def guarantee_factor(inst: KeyHornInstance, mu: Measure) -> Fraction:
     raise ValueError(f"unknown measure {mu!r}")
 
 
-def lower_bound(inst: KeyHornInstance, mu: Measure, graph_c: BodyGraph | None = None) -> int:
+def lower_bound(inst: KeyHornInstance, mu: Measure, partition_c: int | None = None) -> int:
     """Unconditional lower bound on the optimal ``mu``-size.
 
     Every representation uses all m minimal bodies; every variable must be
     the head of some clause (so at least n clauses); each such clause has a
     body of size at least delta and at least two literals.  The clause
     count also takes the partition bound (a normalized family has m >= 2),
-    read off ``graph_c``, the instance's C body graph, when it is given.
+    ``partition_c`` when it is given.
     """
     _require_normalized(inst)
     n, m, delta = inst.n, inst.m, inst.delta
@@ -93,7 +93,9 @@ def lower_bound(inst: KeyHornInstance, mu: Measure, graph_c: BodyGraph | None = 
     if mu is Measure.TA:
         return max(m, n, sum_bodies)
     if mu is Measure.C:
-        return max(m, n, lower_bound_partition_c(inst, graph_c))
+        if partition_c is None:
+            partition_c = lower_bound_partition_c(inst)
+        return max(m, n, partition_c)
     if mu is Measure.BC:
         return m + n
     if mu is Measure.L:
@@ -260,8 +262,10 @@ class CandidateTable:
         if strategy not in self._formulas:
             self._formulas[strategy] = _BUILD[strategy](self)
         if mu not in self._bounds:
-            graph_c = self.graph_c() if mu is Measure.C else None
-            self._bounds[mu] = lower_bound(self.inst, mu, graph_c)
+            part = None
+            if mu is Measure.C:
+                part = lower_bound_partition_c(self.inst, self.graph_c())
+            self._bounds[mu] = lower_bound(self.inst, mu, part)
         if strategy == STRATEGY_HAMILTONIAN and mu not in (Measure.B, Measure.BA, Measure.TA):
             guarantee = Fraction(self.inst.k)
         else:

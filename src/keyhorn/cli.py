@@ -375,9 +375,9 @@ def cmd_bounds(args) -> int:
     n, raw, report = _load(args)
     try:
         inst, _rec = normalize(n, raw)
-        g = body_graph_c(inst)
-        bounds = {str(mu): lower_bound(inst, mu, g) for mu in MEASURES}
-        bounds["C_partition"] = lower_bound_partition_c(inst, g)
+        part = lower_bound_partition_c(inst)
+        bounds = {str(mu): lower_bound(inst, mu, part) for mu in MEASURES}
+        bounds["C_partition"] = part
         report["instance"] = _instance_block(inst)
         report["lower_bounds"] = bounds
     except TrivialInstance as triv:

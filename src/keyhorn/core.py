@@ -431,7 +431,7 @@ class KeyHornInstance:
         for i, a in enumerate(fam):
             for b in fam[i + 1 :]:
                 # canonical order sorts by size, so only a subset-of-b is possible
-                if a.mask & ~b.mask == 0:
+                if a.mask & b.mask == a.mask:
                     raise ValueError(f"family is not Sperner: {a!r} inside {b!r}")
         self.n = n
         self.bodies = fam

@@ -107,9 +107,10 @@ class _ClauseSearch:
     Every variable needs at least one clause with that head, so a candidate
     formula is an assignment of a nonempty body subset to each head; heads
     are filled in order, subsets tried cheapest-first, and branches are cut
-    against the incumbent plus the cheapest possible completion.  The choice
-    is kept as one head mask per body, which the leaf check and the witness
-    both read.
+    against the incumbent plus the cheapest possible completion, then on the
+    optimistic closure ``_closes``, which at a leaf is the feasibility check,
+    so no feasible leaf is dropped.  The choice is kept as one head mask per
+    body, which the closure and the witness both read.
     """
 
     def __init__(self, inst: KeyHornInstance, weights: list[int], deadline: Optional[float]):
@@ -129,22 +130,29 @@ class _ClauseSearch:
         for v in range(self.n - 1, -1, -1):
             self.suffix_min[v] = self.suffix_min[v + 1] + self.head_options[v][0][0]
 
-    def _feasible(self) -> bool:
-        heads_of = self.heads_of
+    def _closes(self, free: int) -> bool:
+        """Whether every body closes to V when each head in ``free`` may also
+        come from every body (a head inside its own body adds nothing); if
+        not, no completion of the free heads is feasible.  With ``free`` 0
+        this is the feasibility of the assignment itself."""
         full = (1 << self.n) - 1
+        groups = [(b, h | free) for b, h in zip(self.body_masks, self.heads_of)]
         for start in self.body_masks:
             reached = start
-            changed = True
-            while changed and reached != full:
-                changed = False
-                for i, bmask in enumerate(self.body_masks):
-                    if bmask & ~reached == 0:
-                        add = heads_of[i] & ~reached
-                        if add:
-                            reached |= add
-                            changed = True
-            if reached != full:
-                return False
+            unfired = groups
+            while reached != full:
+                # fire every group whose body is reached; a fired group
+                # adds nothing later, so only the rest are scanned again
+                before = reached
+                rest = []
+                for group in unfired:
+                    if group[0] & ~reached == 0:
+                        reached |= group[1]
+                    else:
+                        rest.append(group)
+                if reached == before:
+                    return False
+                unfired = rest
         return True
 
     def run(self, incumbent: int) -> None:
@@ -161,10 +169,12 @@ class _ClauseSearch:
         self.ticks += 1
         if cost + self.suffix_min[v] >= self.best:
             return
+        # heads v..n-1 are still free; no completion closes if this fails
+        if not self._closes((1 << self.n) - (1 << v)):
+            return
         if v == self.n:
-            if self._feasible():
-                self.best = cost
-                self.best_heads = list(self.heads_of)
+            self.best = cost
+            self.best_heads = list(self.heads_of)
             return
         heads_of = self.heads_of
         bit = 1 << v

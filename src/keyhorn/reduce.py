@@ -76,7 +76,7 @@ def sperner_minimal(bodies: Iterable[VarSet]) -> tuple[VarSet, ...]:
     keep = []
     for b in fam:
         # canonical order is by size, so any strict subset precedes b
-        if not any(o.mask & ~b.mask == 0 and o.mask != b.mask for o in keep):
+        if not any(o.mask & b.mask == o.mask and o.mask != b.mask for o in keep):
             keep.append(b)
     return tuple(keep)
 

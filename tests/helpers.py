@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import time
 from typing import Iterable, Optional
 
 from keyhorn import (
@@ -28,6 +29,7 @@ from keyhorn import (
     min_in_arborescence,
 )
 from keyhorn.core import _Propagator
+from keyhorn.exact import _Timeout
 from keyhorn.graph import BodyGraph
 from keyhorn.gen import GenerationError
 
@@ -573,3 +575,86 @@ def ref_lower_bound_partition_c(inst: KeyHornInstance) -> int:
             (masks[j] & ~bi).bit_count() for j in range(inst.m) if j != i
         )
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference clause search: the exact oracle's branch-and-bound as it was
+# before the optimistic-closure cut, testing feasibility only at the leaves.
+# ---------------------------------------------------------------------------
+
+
+class RefClauseSearch:
+    """Exhaustive branch-and-bound over per-head clause choices.
+
+    Every variable needs at least one clause with that head, so a candidate
+    formula is an assignment of a nonempty body subset to each head; heads
+    are filled in order, subsets tried cheapest-first, and branches are cut
+    against the incumbent plus the cheapest possible completion.  The choice
+    is kept as one head mask per body, which the leaf check and the witness
+    both read.
+    """
+
+    def __init__(self, inst: KeyHornInstance, weights: list[int], deadline: Optional[float]):
+        self.n = inst.n
+        self.body_masks = [b.mask for b in inst.bodies]
+        self.heads_of = [0] * inst.m
+        self.deadline = deadline
+        self.ticks = 0
+        # per head: nonempty body-index subsets sorted by (weight, indices)
+        self.head_options: list[list[tuple[int, tuple[int, ...]]]] = []
+        for v in range(1, self.n + 1):
+            avail = [i for i in range(inst.m) if v not in inst.bodies[i]]
+            assert avail, "normalized instances leave every variable a choice"
+            combos = [c for r in range(1, len(avail) + 1) for c in itertools.combinations(avail, r)]
+            self.head_options.append(sorted((sum(weights[i] for i in c), c) for c in combos))
+        self.suffix_min = [0] * (self.n + 1)
+        for v in range(self.n - 1, -1, -1):
+            self.suffix_min[v] = self.suffix_min[v + 1] + self.head_options[v][0][0]
+
+    def _feasible(self) -> bool:
+        heads_of = self.heads_of
+        full = (1 << self.n) - 1
+        for start in self.body_masks:
+            reached = start
+            changed = True
+            while changed and reached != full:
+                changed = False
+                for i, bmask in enumerate(self.body_masks):
+                    if bmask & ~reached == 0:
+                        add = heads_of[i] & ~reached
+                        if add:
+                            reached |= add
+                            changed = True
+            if reached != full:
+                return False
+        return True
+
+    def run(self, incumbent: int) -> None:
+        """Search below ``incumbent``; ``best`` and ``best_heads`` hold the
+        cheapest leaf found, also after a ``_Timeout``."""
+        self.best = incumbent
+        self.best_heads: Optional[list[int]] = None
+        self._dfs(0, 0)
+
+    def _dfs(self, v: int, cost: int) -> None:
+        if self.deadline is not None and self.ticks & 63 == 0:
+            if time.monotonic() > self.deadline:
+                raise _Timeout
+        self.ticks += 1
+        if cost + self.suffix_min[v] >= self.best:
+            return
+        if v == self.n:
+            if self._feasible():
+                self.best = cost
+                self.best_heads = list(self.heads_of)
+            return
+        heads_of = self.heads_of
+        bit = 1 << v
+        for w, combo in self.head_options[v]:
+            if cost + w + self.suffix_min[v + 1] >= self.best:
+                break  # options are weight-sorted
+            for i in combo:
+                heads_of[i] |= bit
+            self._dfs(v + 1, cost + w)
+            for i in combo:
+                heads_of[i] ^= bit

@@ -260,6 +260,13 @@ class TestOtherCommands:
         assert main(["bounds", "--in", tri_file]) == 0
         assert sum(map(len, built)) == 1
 
+    def test_bounds_takes_one_partition_bound(self, tri_file, capsys, monkeypatch):
+        # the C bound reuses the C_partition value instead of summing the
+        # row minima again
+        taken = [counting(monkeypatch, mod, "lower_bound_partition_c") for mod in (cli, approx)]
+        assert main(["bounds", "--in", tri_file]) == 0
+        assert sum(map(len, taken)) == 1
+
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     def test_resource_errors_exit_2_in_one_line(self, tri_file, capsys, monkeypatch, exc):
         def boom(args):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,10 +20,11 @@ from keyhorn import (
     verify_representation,
 )
 
-from keyhorn import approx, exact
+from keyhorn import ClauseGroup, HornCNF, approx, exact
 from keyhorn.cli import parse_bodies
 
 from helpers import (
+    RefClauseSearch,
     cost_l,
     cost_lemma_check,
     counting,
@@ -211,7 +213,7 @@ class TestOptExact:
         "text, found, seed",
         [
             ("p keyhorn 8 6\n1 4 5\n2 5\n4 6\n3 5\n3 4\n1 2 3\n", 7, 9),
-            ("p keyhorn 8 6\n4 5 6 7\n1 3 4 7 8\n1 2 3 5 6\n1 3 4 5\n1 5 6 7\n6 8\n", 10, 12),
+            ("p keyhorn 8 6\n4 5 6 7\n1 3 4 7 8\n1 2 3 5 6\n1 3 4 5\n1 5 6 7\n6 8\n", 11, 12),
         ],
         ids=["seed9", "seed12"],
     )
@@ -219,8 +221,9 @@ class TestOptExact:
         n, raw = parse_bodies(text)
         inst, _rec = normalize(n, raw)
         assert minimize(inst, Measure.C).size == seed
-        # the clock is read for the deadline, then once every 64 search nodes
-        reads = iter([0.0] * 64)
+        # the clock is read for the deadline, then once every 64 search nodes;
+        # four reads stop both searches before they finish
+        reads = iter([0.0] * 4)
         monkeypatch.setattr(exact.time, "monotonic", lambda: next(reads, 2.0))
         res = opt_exact_all(inst, timeout=1.0, measures=(Measure.C,))[Measure.C]
         assert (res.size, res.optimal) == (found, False)
@@ -266,3 +269,74 @@ class TestOptExact:
         for name in ("hamiltonian_formula", "procedure1", "procedure2"):
             assert len(calls[name]) == 1
         assert calls["minimize"] == []
+
+
+
+class TestClauseSearchMatchesReference:
+    """The search with the optimistic-closure cut against the leaf-only
+    search it replaced (``helpers.RefClauseSearch``)."""
+
+    def test_same_leaf_and_no_more_nodes(self):
+        small = random_instances(300, 6100)
+        larger = random_instances(100, 6200, n_range=(5, 7), m_range=(3, 5))
+        pruned = 0
+        for pos, inst in enumerate(small + larger):
+            table = approx.CandidateTable(inst)
+            unit, lit = [1] * inst.m, [len(b) + 1 for b in inst.bodies]
+            for weights, mu in ((unit, Measure.C), (lit, Measure.L)):
+                # the incumbent _search_weighted starts from and, on small
+                # instances, one every leaf beats, so the search runs past
+                # the seed's size
+                incumbents = [table.best(mu).size + 1]
+                if pos < len(small):
+                    incumbents.append(sum(weights) * inst.n + 1)
+                for incumbent in incumbents:
+                    new = exact._ClauseSearch(inst, weights, None)
+                    ref = RefClauseSearch(inst, weights, None)
+                    new.run(incumbent)
+                    ref.run(incumbent)
+                    assert (new.best, new.best_heads) == (ref.best, ref.best_heads)
+                    assert new.ticks <= ref.ticks
+                    pruned += new.ticks < ref.ticks
+        assert pruned > 400
+
+    def test_same_results_as_leaf_only_search(self, monkeypatch):
+        instances = random_instances(40, 6300, n_range=(4, 7), m_range=(3, 5))
+        new = [opt_exact_all(inst) for inst in instances]
+        monkeypatch.setattr(exact, "_ClauseSearch", RefClauseSearch)
+        assert new == [opt_exact_all(inst) for inst in instances]
+
+    def test_cut_only_drops_subtrees_without_a_feasible_leaf(self):
+        # at a random partial assignment the cut fires exactly when no
+        # completion of the free heads gives every body the closure V
+        rng = random.Random(6400)
+        outcomes = set()
+        for inst in random_instances(150, 6500, n_range=(3, 5), m_range=(2, 4)):
+            search = exact._ClauseSearch(inst, [1] * inst.m, None)
+            opts = search.head_options
+            for _ in range(4):
+                v = rng.randint(max(0, inst.n - 3), inst.n)
+                for u in range(v):
+                    for i in rng.choice(opts[u])[1]:
+                        search.heads_of[i] |= 1 << u
+                free = (1 << inst.n) - (1 << v)
+                closes = search._closes(free)
+                fixed = list(search.heads_of)
+                feasible = False
+                for completion in itertools.product(*opts[v:]):
+                    heads = list(fixed)
+                    for u, (_w, combo) in enumerate(completion, start=v):
+                        for i in combo:
+                            heads[i] |= 1 << u
+                    groups = [
+                        ClauseGroup(b, VarSet.from_mask(inst.n, h))
+                        for b, h in zip(inst.bodies, heads)
+                    ]
+                    phi = HornCNF(inst.n, groups)
+                    if all(forward_chain_trace(phi, b)[-1].is_full() for b in inst.bodies):
+                        feasible = True
+                        break
+                assert closes == feasible
+                outcomes.add(closes)
+                search.heads_of = [0] * inst.m
+        assert outcomes == {True, False}
