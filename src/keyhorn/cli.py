@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -343,6 +344,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    # also for a single-body family, which runs no search
+    if args.timeout is not None and math.isnan(args.timeout):
+        raise ValueError("--timeout must be a number of seconds, not nan")
     n, raw, report = _load(args)
     measures = _measure_list(args)
     results = {}

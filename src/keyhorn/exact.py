@@ -10,6 +10,7 @@ variable sets by a dynamic program over body chains.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -107,10 +108,19 @@ class _ClauseSearch:
     Every variable needs at least one clause with that head, so a candidate
     formula is an assignment of a nonempty body subset to each head; heads
     are filled in order, subsets tried cheapest-first, and branches are cut
-    against the incumbent plus the cheapest possible completion, then on the
-    optimistic closure ``_closes``, which at a leaf is the feasibility check,
-    so no feasible leaf is dropped.  The choice is kept as one head mask per
-    body, which the closure and the witness both read.
+    against the incumbent plus the cheapest possible completion.  A node is
+    kept only if every body closes to V when each head not yet assigned may
+    come from every body; otherwise no completion is feasible.  The children
+    of a node that assigns head v are decided together: a start body without
+    v, closed with v withheld and the heads above v free, reaches v exactly
+    when a chosen body fires in it, and from there its closure is the
+    accepted node's, which is V (a start with v is not changed by head v).
+    So ``_fires`` closes each such start once per node, and a choice passes
+    when its body mask meets every start's fired mask.  At the last head
+    this is the feasibility check, so no feasible leaf is dropped.  Each
+    choice that survives the cost cut is one tick, tested or not.  The choice
+    is kept as one head mask per body, which the closure and the witness
+    both read.
     """
 
     def __init__(self, inst: KeyHornInstance, weights: list[int], deadline: Optional[float]):
@@ -119,28 +129,37 @@ class _ClauseSearch:
         self.heads_of = [0] * inst.m
         self.deadline = deadline
         self.ticks = 0
-        # per head: nonempty body-index subsets sorted by (weight, indices)
-        self.head_options: list[list[tuple[int, tuple[int, ...]]]] = []
+        # per head: nonempty body-index subsets sorted by (weight, indices),
+        # each with its mask of body indices
+        self.head_options: list[list[tuple[int, tuple[int, ...], int]]] = []
         for v in range(1, self.n + 1):
             avail = [i for i in range(inst.m) if v not in inst.bodies[i]]
             assert avail, "normalized instances leave every variable a choice"
             combos = [c for r in range(1, len(avail) + 1) for c in combinations(avail, r)]
-            self.head_options.append(sorted((sum(weights[i] for i in c), c) for c in combos))
+            options = sorted((sum(weights[i] for i in c), c) for c in combos)
+            self.head_options.append([(w, c, sum(1 << i for i in c)) for w, c in options])
         self.suffix_min = [0] * (self.n + 1)
         for v in range(self.n - 1, -1, -1):
             self.suffix_min[v] = self.suffix_min[v + 1] + self.head_options[v][0][0]
 
-    def _closes(self, free: int) -> bool:
-        """Whether every body closes to V when each head in ``free`` may also
-        come from every body (a head inside its own body adds nothing); if
-        not, no completion of the free heads is feasible.  With ``free`` 0
-        this is the feasibility of the assignment itself."""
-        full = (1 << self.n) - 1
-        groups = [(b, h | free) for b, h in zip(self.body_masks, self.heads_of)]
-        for start in self.body_masks:
+    def _fires(self, v: int) -> list[int]:
+        """Per start body without ``v``: the mask of the bodies whose groups
+        fire in its closure when head ``v`` comes from no body and each head
+        above ``v`` may come from every body."""
+        bit = 1 << v
+        free = (1 << self.n) - (bit << 1)
+        # v is withheld, so a body with v never fires
+        groups = [
+            (b, h | free, 1 << i)
+            for i, (b, h) in enumerate(zip(self.body_masks, self.heads_of))
+            if not b & bit
+        ]
+        out = []
+        for start, _h, _i in groups:
             reached = start
+            fired = 0
             unfired = groups
-            while reached != full:
+            while unfired:
                 # fire every group whose body is reached; a fired group
                 # adds nothing later, so only the rest are scanned again
                 before = reached
@@ -148,44 +167,54 @@ class _ClauseSearch:
                 for group in unfired:
                     if group[0] & ~reached == 0:
                         reached |= group[1]
+                        fired |= group[2]
                     else:
                         rest.append(group)
                 if reached == before:
-                    return False
+                    break
                 unfired = rest
-        return True
+            out.append(fired)
+        return out
+
+    def _tick(self) -> None:
+        """Count one search node; the deadline is read every 64 nodes."""
+        if self.deadline is not None and self.ticks & 63 == 0:
+            if time.monotonic() > self.deadline:
+                raise _Timeout
+        self.ticks += 1
 
     def run(self, incumbent: int) -> None:
         """Search below ``incumbent``; ``best`` and ``best_heads`` hold the
         cheapest leaf found, also after a ``_Timeout``."""
         self.best = incumbent
         self.best_heads: Optional[list[int]] = None
-        self._dfs(0, 0)
+        self._tick()
+        # the root passes: each start fires its own group, whose heads are all free
+        if self.suffix_min[0] < self.best:
+            self._dfs(0, 0)
 
     def _dfs(self, v: int, cost: int) -> None:
-        if self.deadline is not None and self.ticks & 63 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Timeout
-        self.ticks += 1
-        if cost + self.suffix_min[v] >= self.best:
-            return
-        # heads v..n-1 are still free; no completion closes if this fails
-        if not self._closes((1 << self.n) - (1 << v)):
-            return
+        """Extend a node whose heads below ``v`` are assigned and pass."""
         if v == self.n:
             self.best = cost
             self.best_heads = list(self.heads_of)
             return
+        fires = self._fires(v)
         heads_of = self.heads_of
         bit = 1 << v
-        for w, combo in self.head_options[v]:
+        for w, combo, mask in self.head_options[v]:
             if cost + w + self.suffix_min[v + 1] >= self.best:
                 break  # options are weight-sorted
-            for i in combo:
-                heads_of[i] |= bit
-            self._dfs(v + 1, cost + w)
-            for i in combo:
-                heads_of[i] ^= bit
+            self._tick()
+            for fired in fires:
+                if not mask & fired:
+                    break
+            else:
+                for i in combo:
+                    heads_of[i] |= bit
+                self._dfs(v + 1, cost + w)
+                for i in combo:
+                    heads_of[i] ^= bit
 
 
 def _search_weighted(
@@ -229,7 +258,10 @@ def opt_exact_all(
     area are fixed; clause count, bodies+clauses and total area share one
     unit-weight search, and literal count is the same search with weight
     |body| + 1 per clause.  Only the searches ``measures`` need are run.
+    A nan ``timeout`` is rejected, since no clock reading would pass it.
     """
+    if timeout is not None and math.isnan(timeout):
+        raise ValueError("timeout must be a number of seconds, not nan")
     table = approx.CandidateTable(inst)  # rejects an unnormalized instance
     n_cands = sum(inst.n - len(b) for b in inst.bodies)
     if n_cands > max_candidates:

@@ -23,6 +23,8 @@ from keyhorn.cli import (
 from helpers import counting, random_cnf, random_instances
 
 TRIANGLE_TEXT = "c triangle\np keyhorn 3 3\n1 2\n2 3\n1 3\n"
+# a family whose exact C search does not finish at once: its seed has size 9
+SEED9_TEXT = "p keyhorn 8 6\n1 4 5\n2 5\n4 6\n3 5\n3 4\n1 2 3\n"
 
 
 @pytest.fixture
@@ -246,6 +248,24 @@ class TestOtherCommands:
         calls = counting(monkeypatch, exact, "_search_weighted")
         assert main(["exact", "--in", tri_file, "--measure", measure]) == 0
         assert len(calls) == searches
+
+    def test_exact_timeout_reports_the_seed_unproven(self, tmp_path, capsys):
+        p = tmp_path / "seed9.bodies"
+        p.write_text(SEED9_TEXT)
+        rc = main(["exact", "--in", str(p), "--measure", "C", "--timeout", "-1"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["C"] == {"opt": 9, "optimal": False}
+
+    @pytest.mark.parametrize("text", [SEED9_TEXT, "p keyhorn 3 1\n1 2\n"], ids=["seed9", "one-body"])
+    def test_exact_rejects_a_nan_timeout(self, tmp_path, capsys, text):
+        # no clock reading is past a nan deadline, so the run would be unbounded
+        p = tmp_path / "in.bodies"
+        p.write_text(text)
+        assert main(["exact", "--in", str(p), "--measure", "C", "--timeout", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "keyhorn: error: --timeout must be a number of seconds, not nan\n"
 
     def test_bounds_command(self, tri_file, capsys):
         rc = main(["bounds", "--in", tri_file])

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -35,6 +34,9 @@ from helpers import (
 
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
 SINGLETONS = KeyHornInstance(3, [VarSet(3, [1]), VarSet(3, [2]), VarSet(3, [3])])
+# families whose C searches run long enough to time out on a fake clock
+SEED9_TEXT = "p keyhorn 8 6\n1 4 5\n2 5\n4 6\n3 5\n3 4\n1 2 3\n"
+SEED12_TEXT = "p keyhorn 8 6\n4 5 6 7\n1 3 4 7 8\n1 2 3 5 6\n1 3 4 5\n1 5 6 7\n6 8\n"
 
 
 class TestCostL:
@@ -212,8 +214,8 @@ class TestOptExact:
     @pytest.mark.parametrize(
         "text, found, seed",
         [
-            ("p keyhorn 8 6\n1 4 5\n2 5\n4 6\n3 5\n3 4\n1 2 3\n", 7, 9),
-            ("p keyhorn 8 6\n4 5 6 7\n1 3 4 7 8\n1 2 3 5 6\n1 3 4 5\n1 5 6 7\n6 8\n", 11, 12),
+            (SEED9_TEXT, 7, 9),
+            (SEED12_TEXT, 11, 12),
         ],
         ids=["seed9", "seed12"],
     )
@@ -229,6 +231,10 @@ class TestOptExact:
         assert (res.size, res.optimal) == (found, False)
         assert verify_representation(res.formula, inst)
         assert measure_size(res.formula, Measure.C) == found
+
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            opt_exact_all(TRIANGLE, timeout=float("nan"))
 
     def test_timeout_returns_flagged_upper_bound(self):
         inst = KeyHornInstance(
@@ -306,37 +312,67 @@ class TestClauseSearchMatchesReference:
         monkeypatch.setattr(exact, "_ClauseSearch", RefClauseSearch)
         assert new == [opt_exact_all(inst) for inst in instances]
 
-    def test_cut_only_drops_subtrees_without_a_feasible_leaf(self):
-        # at a random partial assignment the cut fires exactly when no
-        # completion of the free heads gives every body the closure V
+    @pytest.mark.parametrize(
+        "text, ticks",
+        [(SEED9_TEXT, (203, 1248)), (SEED12_TEXT, (5414, 13023))],
+        ids=["seed9", "seed12"],
+    )
+    def test_node_counts_are_pinned(self, text, ticks):
+        # the counts of the search that closed every body afresh at each
+        # child: deciding the children from fired masks visits the same nodes
+        inst, _rec = normalize(*parse_bodies(text))
+        table = approx.CandidateTable(inst)
+        counts = []
+        for weights, mu in (([1] * inst.m, Measure.C), ([len(b) + 1 for b in inst.bodies], Measure.L)):
+            search = exact._ClauseSearch(inst, weights, None)
+            search.run(table.best(mu).size + 1)
+            counts.append(search.ticks)
+        assert tuple(counts) == ticks
+
+    def test_child_test_passes_exactly_feasible_options(self):
+        # at a random node that has a feasible completion, an option for its
+        # head v passes the fired-mask test exactly when some completion of
+        # the heads above v gives every body the closure V
         rng = random.Random(6400)
         outcomes = set()
+        nodes = 0
         for inst in random_instances(150, 6500, n_range=(3, 5), m_range=(2, 4)):
             search = exact._ClauseSearch(inst, [1] * inst.m, None)
             opts = search.head_options
-            for _ in range(4):
-                v = rng.randint(max(0, inst.n - 3), inst.n)
-                for u in range(v):
-                    for i in rng.choice(opts[u])[1]:
-                        search.heads_of[i] |= 1 << u
-                free = (1 << inst.n) - (1 << v)
-                closes = search._closes(free)
-                fixed = list(search.heads_of)
-                feasible = False
-                for completion in itertools.product(*opts[v:]):
-                    heads = list(fixed)
-                    for u, (_w, combo) in enumerate(completion, start=v):
-                        for i in combo:
-                            heads[i] |= 1 << u
+
+            def feasible(heads, u):
+                if u == inst.n:
                     groups = [
                         ClauseGroup(b, VarSet.from_mask(inst.n, h))
                         for b, h in zip(inst.bodies, heads)
                     ]
                     phi = HornCNF(inst.n, groups)
-                    if all(forward_chain_trace(phi, b)[-1].is_full() for b in inst.bodies):
-                        feasible = True
-                        break
-                assert closes == feasible
-                outcomes.add(closes)
-                search.heads_of = [0] * inst.m
+                    return all(forward_chain_trace(phi, b)[-1].is_full() for b in inst.bodies)
+                for _w, combo, _mask in opts[u]:
+                    extended = list(heads)
+                    for i in combo:
+                        extended[i] |= 1 << u
+                    if feasible(extended, u + 1):
+                        return True
+                return False
+
+            for _ in range(4):
+                v = rng.randint(max(0, inst.n - 3), inst.n - 1)
+                heads = [0] * inst.m
+                for u in range(v):
+                    for i in rng.choice(opts[u])[1]:
+                        heads[i] |= 1 << u
+                if not feasible(heads, v):
+                    continue
+                search.heads_of = heads
+                fires = search._fires(v)
+                for _w, combo, mask in opts[v]:
+                    passes = all(mask & fired for fired in fires)
+                    child = list(heads)
+                    for i in combo:
+                        child[i] |= 1 << v
+                    assert passes == feasible(child, v + 1)
+                    outcomes.add(passes)
+                nodes += 1
+        assert nodes > 200
         assert outcomes == {True, False}
