@@ -115,7 +115,7 @@ def lower_bound_partition_c(inst: KeyHornInstance, g: BodyGraph | None = None) -
         raise ValueError("partition bound needs at least two bodies")
     if g is None:
         g = body_graph_c(inst)
-    return sum(min(row[:i] + row[i + 1 :]) for i, row in enumerate(g.weight))
+    return sum(g.cheapest_arcs())
 
 
 def _require_normalized(inst: KeyHornInstance) -> None:

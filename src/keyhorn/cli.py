@@ -42,7 +42,7 @@ from .core import (
     measure_size,
     verify_against_family,
 )
-from .exact import opt_exact_all, price_l_exact
+from .exact import MAX_BODIES, MAX_CANDIDATES, check_cap, opt_exact_all, price_l_exact
 from .gen import (
     gen_hydra,
     gen_projective,
@@ -130,9 +130,8 @@ def parse_bodies(text: str) -> tuple[int, list[VarSet]]:
     n, body_lines = _read_header(text, "keyhorn")
     bodies = []
     for bl, line in body_lines:
+        # a significant line holds a token, so the body is never empty
         body = _parse_vars(bl, line.split(), n)
-        if not body:
-            raise ParseError(bl, "empty body")
         if body.is_full():
             raise ParseError(bl, "body equals the full variable set")
         bodies.append(body)
@@ -347,6 +346,7 @@ def cmd_exact(args) -> int:
     # also for a single-body family, which runs no search
     if args.timeout is not None and math.isnan(args.timeout):
         raise ValueError("--timeout must be a number of seconds, not nan")
+    check_cap("--max-candidates", args.max_candidates)
     n, raw, report = _load(args)
     measures = _measure_list(args)
     results = {}
@@ -404,6 +404,7 @@ def _parse_var_list(text: str, n: int) -> VarSet:
 
 
 def cmd_price(args) -> int:
+    check_cap("--cap", args.cap)
     n, raw, _head = _load(args)
     src = _parse_var_list(getattr(args, "from"), n)
     dst = _parse_var_list(args.to, n)
@@ -446,8 +447,7 @@ def cmd_gen(args) -> int:
             inst.bodies,
             comment=f"random n={args.n} m={args.m} k={args.k} seed={args.seed}",
         )
-        stats = _instance_block(inst)
-        _write_or_print(args, text, stats if args.out else None)
+        _write_or_print(args, text, _instance_block(inst))
         return 0
     if args.kind == "hydra":
         edges = []
@@ -472,7 +472,7 @@ def cmd_gen(args) -> int:
         }
         if args.cert:
             _write_file(args.cert, write_horn(pinst.certificate))
-        _write_or_print(args, text, stats if args.out else None)
+        _write_or_print(args, text, stats)
         return 0
     if args.kind == "sat3":
         clauses = []
@@ -518,9 +518,7 @@ def cmd_mwscs(args) -> int:
     g = body_graph_c(inst)
     arcs, weight = mwscs_2approx(g)
     # a single body is strongly connected on its own and has no entering arc
-    entering = sum(
-        min((g.weight[u][v] for u in range(g.m) if u != v), default=0) for v in range(g.m)
-    )
+    entering = sum(g.cheapest_arcs(entering=True))
     out = {
         "format": 1,
         "version": __version__,
@@ -561,44 +559,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bounded-approximation minimization of key Horn CNF representations",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    measures = [str(mu) for mu in MEASURES] + ["all"]
 
     mz = sub.add_parser("minimize", help="normalize, minimize, lift, verify, report")
     mz.add_argument("--in", dest="infile", required=True)
-    mz.add_argument(
-        "--measure",
-        required=True,
-        choices=[str(mu) for mu in MEASURES] + ["all"],
-    )
+    mz.add_argument("--measure", required=True, choices=measures)
     mz.add_argument("--out", help="write the lifted formula (single measure only)")
     mz.add_argument("--report", help="also write the JSON report to this path")
-    mz.add_argument(
-        "--strategy",
-        default="auto",
-        choices=["auto", "hamiltonian", "procedure1", "procedure2"],
-    )
+    mz.add_argument("--strategy", default="auto", choices=["auto", *STRATEGY_TARGETS])
     mz.add_argument("--timings", action="store_true", help="include timings in the report")
-    mz.set_defaults(func=cmd_minimize)
 
     vf = sub.add_parser("verify", help="check a formula against an instance")
     vf.add_argument("--in", dest="infile", required=True)
     vf.add_argument("--formula", required=True)
-    vf.set_defaults(func=cmd_verify)
 
     ex = sub.add_parser("exact", help="brute-force optimum (desk scale)")
     ex.add_argument("--in", dest="infile", required=True)
-    ex.add_argument(
-        "--measure",
-        required=True,
-        choices=[str(mu) for mu in MEASURES] + ["all"],
-    )
+    ex.add_argument("--measure", required=True, choices=measures)
     ex.add_argument("--out", help="write an optimal witness formula")
-    ex.add_argument("--max-candidates", type=int, default=28)
+    ex.add_argument("--max-candidates", type=int, default=MAX_CANDIDATES)
     ex.add_argument("--timeout", type=float, default=None)
-    ex.set_defaults(func=cmd_exact)
 
     bd = sub.add_parser("bounds", help="lower bounds for all measures")
     bd.add_argument("--in", dest="infile", required=True)
-    bd.set_defaults(func=cmd_bounds)
 
     pr = sub.add_parser("price", help="cost of chaining between variable sets")
     pr.add_argument("--in", dest="infile", required=True)
@@ -606,8 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--from", required=True)
     pr.add_argument("--to", required=True)
     pr.add_argument("--exact", action="store_true")
-    pr.add_argument("--cap", type=int, default=12, help="body cap for exact pricing")
-    pr.set_defaults(func=cmd_price)
+    pr.add_argument("--cap", type=int, default=MAX_BODIES, help="body cap for exact pricing")
 
     gn = sub.add_parser("gen", help="instance generators")
     gsub = gn.add_subparsers(dest="kind", required=True)
@@ -617,17 +599,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--k", type=int, required=True)
     gr.add_argument("--seed", type=int, required=True)
     gr.add_argument("--out")
-    gr.set_defaults(func=cmd_gen)
     gh = gsub.add_parser("hydra")
     gh.add_argument("--n", type=int, required=True)
     gh.add_argument("--edges", required=True, help="e.g. '1,2 2,3 1,3'")
     gh.add_argument("--out")
-    gh.set_defaults(func=cmd_gen)
     gp = gsub.add_parser("projective")
     gp.add_argument("--d", type=int, required=True)
     gp.add_argument("--out")
     gp.add_argument("--cert", help="write the clause-count certificate formula")
-    gp.set_defaults(func=cmd_gen)
     gs = gsub.add_parser("sat3")
     gs.add_argument(
         "--clause",
@@ -636,21 +615,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="three literals, e.g. '1 -2 3'; repeatable",
     )
     gs.add_argument("--out")
-    gs.set_defaults(func=cmd_gen)
 
     mw = sub.add_parser("mwscs", help="2-approx strongly connected subgraph weight")
     mw.add_argument("--in", dest="infile", required=True)
     mw.add_argument("--projective-d", type=int, default=None)
-    mw.set_defaults(func=cmd_mwscs)
 
     return p
 
 
+# built once per process: building it costs more than parsing with it
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound command is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except VerificationError as exc:
         print(f"keyhorn: verification failed: {exc}", file=sys.stderr)
         return 3

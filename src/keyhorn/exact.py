@@ -25,6 +25,16 @@ class SearchLimitError(ValueError):
     """The instance exceeds the configured exhaustive-search limits."""
 
 
+# the default caps of the two exponential oracles
+MAX_CANDIDATES = 28
+MAX_BODIES = 12
+
+
+def check_cap(name: str, cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, not {cap}")
+
+
 @dataclass(frozen=True)
 class OptResult:
     """A certified optimum (or, after a timeout, the best size found so far
@@ -39,7 +49,7 @@ def price_l_exact(
     inst: KeyHornInstance,
     s: VarSet,
     s2: VarSet,
-    max_bodies: int = 12,
+    max_bodies: int = MAX_BODIES,
 ) -> int:
     """Exact minimum literal cost of a formula over the instance's bodies
     whose chaining from ``s`` covers ``s2``.
@@ -50,6 +60,7 @@ def price_l_exact(
     the reached set is order-free; switching to an already-reached smaller
     body is a zero-cost transition, so no ordering constraint is needed.
     """
+    check_cap("max_bodies", max_bodies)
     if s.n != inst.n or s2.n != inst.n:
         raise ValueError("source/target universe does not match the instance")
     if s2.issubset(s):
@@ -248,7 +259,7 @@ def _search_weighted(
 
 def opt_exact_all(
     inst: KeyHornInstance,
-    max_candidates: int = 28,
+    max_candidates: int = MAX_CANDIDATES,
     timeout: Optional[float] = None,
     measures: Sequence[Measure] = MEASURES,
 ) -> dict[Measure, OptResult]:
@@ -258,8 +269,9 @@ def opt_exact_all(
     area are fixed; clause count, bodies+clauses and total area share one
     unit-weight search, and literal count is the same search with weight
     |body| + 1 per clause.  Only the searches ``measures`` need are run.
-    A nan ``timeout`` is rejected, since no clock reading would pass it.
+    A negative cap or a nan ``timeout`` (which no clock passes) is rejected.
     """
+    check_cap("max_candidates", max_candidates)
     if timeout is not None and math.isnan(timeout):
         raise ValueError("timeout must be a number of seconds, not nan")
     table = approx.CandidateTable(inst)  # rejects an unnormalized instance

@@ -46,6 +46,12 @@ class BodyGraph:
     def m(self) -> int:
         return len(self.nodes)
 
+    def cheapest_arcs(self, entering: bool = False) -> list[int]:
+        """Per node, the least weight of an arc out of it (its row's off-diagonal
+        minimum), or with ``entering`` into it (its column's); 0 for a lone node."""
+        rows = zip(*self.weight) if entering else self.weight
+        return [min(row[:i] + row[i + 1 :], default=0) for i, row in enumerate(rows)]
+
 
 @dataclass(frozen=True, eq=True)
 class InArborescence:

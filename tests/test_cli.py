@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -100,6 +103,64 @@ class TestParseHorn:
     def test_empty_heads_accepted_and_dropped(self):
         phi = parse_horn("p horn 3 2\n1 ->\n2 -> 3\n")
         assert len(phi.groups) == 1
+
+    def test_empty_body(self):
+        with pytest.raises(ParseError, match="^line 2: empty body$"):
+            parse_horn("p horn 3 1\n-> 3\n")
+
+    def test_full_body(self):
+        # the clause group rejects it, and the parser names the line
+        with pytest.raises(ParseError, match="^line 3: clause body must not be the full"):
+            parse_horn("p horn 2 2\n1 -> 2\n1 2 ->\n")
+
+
+class TestEntryPoint:
+    def test_main_builds_no_parser(self, tri_file, capsys, monkeypatch):
+        built = counting(monkeypatch, cli, "_build_parser")
+        assert main(["bounds", "--in", tri_file]) == 0
+        assert main(["minimize", "--in", tri_file, "--measure", "C"]) == 0
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv, code, stream",
+        [
+            (["bounds"], 0, "out"),
+            (["bounds", "--in", "{bad}"], 2, "err"),
+            (["verify", "--formula", "{horn}"], 3, "out"),
+        ],
+        ids=["bounds", "malformed", "rejected"],
+    )
+    def test_module_run_exits_with_mains_code(self, tmp_path, argv, code, stream):
+        # a shell gets main's return value as the process's exit code
+        paths = {}
+        for key, name, text in [
+            ("in", "tri.bodies", TRIANGLE_TEXT),
+            ("bad", "bad.bodies", "p keyhorn 3 1\n1 x\n"),
+            ("horn", "f.horn", "p horn 3 1\n1 2 -> 3\n"),
+        ]:
+            paths[key] = tmp_path / name
+            paths[key].write_text(text)
+        argv = [a.format(**paths) for a in argv]
+        if "--in" not in argv:
+            argv[1:1] = ["--in", str(paths["in"])]
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "keyhorn.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        if stream == "err":
+            assert proc.stdout == ""
+            assert proc.stderr == "keyhorn: error: line 2: not an integer: 'x'\n"
+        else:
+            assert proc.stderr == ""
+            report = json.loads(proc.stdout)
+            if code == 0:
+                assert report["lower_bounds"]["C_partition"] == 3
+            else:
+                assert report["ok"] is False
 
 
 class TestMinimizeCommand:
@@ -266,6 +327,26 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "keyhorn: error: --timeout must be a number of seconds, not nan\n"
+
+    @pytest.mark.parametrize(
+        "text", ["p keyhorn 4 2\n1 2\n3 4\n", "p keyhorn 3 1\n1 2\n"], ids=["two", "one"]
+    )
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["exact", "--measure", "C", "--max-candidates", "-5"], "--max-candidates"),
+            (["price", "--measure", "L", "--from", "1 2", "--to", "3", "--exact", "--cap", "-5"],
+             "--cap"),
+        ],
+        ids=["exact", "price"],
+    )
+    def test_negative_caps_are_bad_arguments(self, tmp_path, capsys, text, argv, flag):
+        p = tmp_path / "in.bodies"
+        p.write_text(text)
+        assert main([argv[0], "--in", str(p), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"keyhorn: error: {flag} must be a nonnegative integer, not -5\n"
 
     def test_bounds_command(self, tri_file, capsys):
         rc = main(["bounds", "--in", tri_file])

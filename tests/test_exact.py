@@ -98,6 +98,11 @@ class TestPriceLExact:
         with pytest.raises(SearchLimitError):
             price_l_exact(inst, VarSet(6, [1]), VarSet(6, [6]), max_bodies=4)
 
+    def test_negative_cap_rejected(self):
+        # before any work: this query is otherwise answered at once
+        with pytest.raises(ValueError, match="^max_bodies must be a nonnegative integer"):
+            price_l_exact(TRIANGLE, VarSet(3, [1, 2]), VarSet(3, [1]), max_bodies=-1)
+
     def test_sandwich_against_lambda(self):
         rng = random.Random(22)
         for inst in random_instances(40, 8800, n_range=(3, 7), m_range=(2, 5)):
@@ -235,6 +240,10 @@ class TestOptExact:
     def test_nan_timeout_rejected(self):
         with pytest.raises(ValueError, match="nan"):
             opt_exact_all(TRIANGLE, timeout=float("nan"))
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="^max_candidates must be a nonnegative integer"):
+            opt_exact_all(TRIANGLE, max_candidates=-1)
 
     def test_timeout_returns_flagged_upper_bound(self):
         inst = KeyHornInstance(

@@ -21,7 +21,7 @@ from keyhorn import (
     price_c,
 )
 from keyhorn import approx, graph
-from keyhorn.graph import BodyGraph, _min_arborescence, _root_weights, _row_layout
+from keyhorn.graph import BodyGraph, InArborescence, _min_arborescence, _root_weights, _row_layout
 
 from helpers import (
     arborescence_weight,
@@ -73,6 +73,13 @@ class TestBodyGraph:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             graph_of([[0, 1, 1], [1, 0, 1], [1, -1, 0]])
+
+    def test_cheapest_arcs_are_off_diagonal_row_and_column_minima(self):
+        g = graph_of([[0, 5, 2], [3, 0, 7], [4, 1, 0]])
+        assert g.cheapest_arcs() == [2, 3, 1]
+        assert g.cheapest_arcs(entering=True) == [3, 1, 2]
+        lone = graph_of([[0]])
+        assert lone.cheapest_arcs() == lone.cheapest_arcs(entering=True) == [0]
 
 
 class TestBodyGraphC:
@@ -329,6 +336,10 @@ class TestMinInArborescence:
     def test_uniform_weights(self):
         w = [[0 if i == j else 4 for j in range(4)] for i in range(4)]
         assert arborescence_weight(min_in_arborescence(graph_of(w)), graph_of(w)) == 12
+
+    def test_one_node(self):
+        g = graph_of([[0]])
+        assert min_in_arborescence(g) == min_in_arborescence(g, 0) == InArborescence(0, {})
 
     def test_zero_arcs_pick_root(self):
         g = graph_of([[0, 1, 0], [1, 0, 0], [1, 1, 0]])
