@@ -132,6 +132,19 @@ class _ClauseSearch:
     choice that survives the cost cut is one tick, tested or not.  The choice
     is kept as one head mask per body, which the closure and the witness
     both read.
+
+    Each node is first cut on the bodies' head deficits.  The bodies are a
+    Sperner family, so the closure of B_i first fires only body i's own
+    group, and it goes on only if those heads H_i hold B_j minus B_i for
+    some j != i (if H_i held every variable outside B_i, every j would do,
+    and a normalized instance has m >= 2).  Below a node whose heads below
+    v are fixed, H_i therefore gains at least ``need_i`` heads from v up:
+    the fewest bits of ``B_j & ~B_i & ~H_i`` over the j with none of them
+    below v.  A node where some body has no such j has no feasible leaf, and
+    a node where cost + sum of w_i * need_i reaches the incumbent has no
+    cheaper one, so both are cut.  Every cut drops only subtrees with no
+    feasible leaf below the incumbent, so the incumbents, and with them
+    ``best`` and ``best_heads``, are those of the search without it.
     """
 
     def __init__(self, inst: KeyHornInstance, weights: list[int], deadline: Optional[float]):
@@ -152,19 +165,49 @@ class _ClauseSearch:
         self.suffix_min = [0] * (self.n + 1)
         for v in range(self.n - 1, -1, -1):
             self.suffix_min[v] = self.suffix_min[v + 1] + self.head_options[v][0][0]
+        # per body: its weight and the masks B_j \ B_i of the other bodies,
+        # one of which its own heads must cover
+        self.deficits = [
+            (w, [b & ~bi for b in self.body_masks if b != bi])
+            for w, bi in zip(weights, self.body_masks)
+        ]
+        # per head v: (body mask, body index, body bit) of the bodies without v
+        self.without = [
+            [(b, i, 1 << i) for i, b in enumerate(self.body_masks) if not b >> v & 1]
+            for v in range(self.n)
+        ]
+
+    def _deficit_cut(self, v: int, cost: int) -> bool:
+        """Whether the head deficits show that no leaf below a node whose
+        heads below ``v`` are fixed is both feasible and cheaper than
+        ``best``: body i needs at least ``need_i`` more heads, the fewest
+        bits of some ``B_j & ~B_i`` that its heads lack, over the j whose
+        lacking bits all lie at v or above."""
+        low = (1 << v) - 1
+        bound = cost
+        for (w, diffs), h in zip(self.deficits, self.heads_of):
+            need = -1
+            for d in diffs:
+                r = d & ~h
+                if not r & low:  # a variable below v can no longer be a head
+                    c = r.bit_count()
+                    if need < 0 or c < need:
+                        need = c
+            if need < 0:
+                return True  # its closure stops at B_i with its heads
+            bound += w * need
+            if bound >= self.best:
+                return True
+        return False
 
     def _fires(self, v: int) -> list[int]:
         """Per start body without ``v``: the mask of the bodies whose groups
         fire in its closure when head ``v`` comes from no body and each head
         above ``v`` may come from every body."""
-        bit = 1 << v
-        free = (1 << self.n) - (bit << 1)
+        free = (1 << self.n) - (2 << v)
+        heads_of = self.heads_of
         # v is withheld, so a body with v never fires
-        groups = [
-            (b, h | free, 1 << i)
-            for i, (b, h) in enumerate(zip(self.body_masks, self.heads_of))
-            if not b & bit
-        ]
+        groups = [(b, heads_of[i] | free, ibit) for b, i, ibit in self.without[v]]
         out = []
         for start, _h, _i in groups:
             reached = start
@@ -210,13 +253,17 @@ class _ClauseSearch:
             self.best = cost
             self.best_heads = list(self.heads_of)
             return
-        fires = self._fires(v)
+        if self._deficit_cut(v, cost):
+            return
+        fires = None
         heads_of = self.heads_of
         bit = 1 << v
         for w, combo, mask in self.head_options[v]:
             if cost + w + self.suffix_min[v + 1] >= self.best:
                 break  # options are weight-sorted
             self._tick()
+            if fires is None:
+                fires = self._fires(v)
             for fired in fires:
                 if not mask & fired:
                     break

@@ -37,6 +37,7 @@ from keyhorn import (
 )
 from keyhorn.cli import main, write_bodies
 from keyhorn.core import _Propagator
+from keyhorn.exact import MAX_CANDIDATES
 from keyhorn.gen import GenerationError
 from keyhorn.graph import BodyGraph, body_graph_c
 
@@ -57,7 +58,14 @@ from helpers import (
 
 def test_criterion_1_oracle_guarantee_suite():
     t0 = time.perf_counter()
-    instances = random_instances(300, 10_000, (3, 6), (2, 4), (2, 4))
+    # small shapes, then shapes near the exact benchmark pool's n = 8, m = 6,
+    # kept within the oracle's default cap on candidate clauses
+    drawn = random_instances(300, 10_000, (3, 6), (2, 4), (2, 4))
+    drawn += random_instances(700, 11_000, (6, 8), (4, 6), (3, 5))
+    instances = [
+        inst for inst in drawn if sum(inst.n - len(b) for b in inst.bodies) <= MAX_CANDIDATES
+    ]
+    assert len(instances) >= 950
     worst = {mu: Fraction(0) for mu in MEASURES}
     for inst in instances:
         opts = opt_exact_all(inst)

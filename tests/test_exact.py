@@ -34,9 +34,29 @@ from helpers import (
 
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
 SINGLETONS = KeyHornInstance(3, [VarSet(3, [1]), VarSet(3, [2]), VarSet(3, [3])])
-# families whose C searches run long enough to time out on a fake clock
+# families whose search node counts are pinned
 SEED9_TEXT = "p keyhorn 8 6\n1 4 5\n2 5\n4 6\n3 5\n3 4\n1 2 3\n"
 SEED12_TEXT = "p keyhorn 8 6\n4 5 6 7\n1 3 4 7 8\n1 2 3 5 6\n1 3 4 5\n1 5 6 7\n6 8\n"
+# families whose C searches, 28 and 27 candidates, run for several 64-node
+# deadline reads and find a leaf below the seed before the fourth
+LONG12_TEXT = "p keyhorn 8 6\n1 3 8\n4 5\n2 6 8\n1 3 5\n1 2 4 7 8\n1 3 6 7\n"
+LONG13_TEXT = "p keyhorn 8 6\n3 5\n1 2 4 6 8\n2 6 7\n2 5 7 8\n1 7 8\n5 6 7 8\n"
+
+
+def all_bodies_close(inst, heads):
+    """Whether the formula giving body i the heads ``heads[i]`` closes every
+    body to the full set, by forward chaining."""
+    groups = [ClauseGroup(b, VarSet.from_mask(inst.n, h)) for b, h in zip(inst.bodies, heads)]
+    phi = HornCNF(inst.n, groups)
+    return all(forward_chain_trace(phi, b)[-1].is_full() for b in inst.bodies)
+
+
+def with_head(heads, combo, v):
+    """``heads`` with head ``v`` added to the bodies in ``combo``."""
+    out = list(heads)
+    for i in combo:
+        out[i] |= 1 << v
+    return out
 
 
 class TestCostL:
@@ -219,17 +239,18 @@ class TestOptExact:
     @pytest.mark.parametrize(
         "text, found, seed",
         [
-            (SEED9_TEXT, 7, 9),
-            (SEED12_TEXT, 11, 12),
+            (LONG12_TEXT, 11, 12),
+            (LONG13_TEXT, 12, 13),
         ],
-        ids=["seed9", "seed12"],
+        ids=["seed12", "seed13"],
     )
     def test_timeout_reports_best_leaf_found(self, monkeypatch, text, found, seed):
         n, raw = parse_bodies(text)
         inst, _rec = normalize(n, raw)
         assert minimize(inst, Measure.C).size == seed
         # the clock is read for the deadline, then once every 64 search nodes;
-        # four reads stop both searches before they finish
+        # four reads stop the search at its 192nd node, before it finishes
+        # (at 448 and 1936 nodes) and after it found a leaf below the seed
         reads = iter([0.0] * 4)
         monkeypatch.setattr(exact.time, "monotonic", lambda: next(reads, 2.0))
         res = opt_exact_all(inst, timeout=1.0, measures=(Measure.C,))[Measure.C]
@@ -322,13 +343,17 @@ class TestClauseSearchMatchesReference:
         assert new == [opt_exact_all(inst) for inst in instances]
 
     @pytest.mark.parametrize(
-        "text, ticks",
-        [(SEED9_TEXT, (203, 1248)), (SEED12_TEXT, (5414, 13023))],
+        "text, ticks, uncut",
+        [
+            (SEED9_TEXT, (47, 69), (203, 1248)),
+            (SEED12_TEXT, (112, 154), (5414, 13023)),
+        ],
         ids=["seed9", "seed12"],
     )
-    def test_node_counts_are_pinned(self, text, ticks):
-        # the counts of the search that closed every body afresh at each
-        # child: deciding the children from fired masks visits the same nodes
+    def test_node_counts_are_pinned(self, text, ticks, uncut):
+        # ``uncut`` are the counts without the head-deficit cut, which the
+        # search that closed every body afresh at each child also visited;
+        # a cut only drops nodes, so it may never exceed them
         inst, _rec = normalize(*parse_bodies(text))
         table = approx.CandidateTable(inst)
         counts = []
@@ -337,6 +362,7 @@ class TestClauseSearchMatchesReference:
             search.run(table.best(mu).size + 1)
             counts.append(search.ticks)
         assert tuple(counts) == ticks
+        assert all(c <= u for c, u in zip(counts, uncut))
 
     def test_child_test_passes_exactly_feasible_options(self):
         # at a random node that has a feasible completion, an option for its
@@ -351,19 +377,8 @@ class TestClauseSearchMatchesReference:
 
             def feasible(heads, u):
                 if u == inst.n:
-                    groups = [
-                        ClauseGroup(b, VarSet.from_mask(inst.n, h))
-                        for b, h in zip(inst.bodies, heads)
-                    ]
-                    phi = HornCNF(inst.n, groups)
-                    return all(forward_chain_trace(phi, b)[-1].is_full() for b in inst.bodies)
-                for _w, combo, _mask in opts[u]:
-                    extended = list(heads)
-                    for i in combo:
-                        extended[i] |= 1 << u
-                    if feasible(extended, u + 1):
-                        return True
-                return False
+                    return all_bodies_close(inst, heads)
+                return any(feasible(with_head(heads, combo, u), u + 1) for _w, combo, _m in opts[u])
 
             for _ in range(4):
                 v = rng.randint(max(0, inst.n - 3), inst.n - 1)
@@ -377,11 +392,50 @@ class TestClauseSearchMatchesReference:
                 fires = search._fires(v)
                 for _w, combo, mask in opts[v]:
                     passes = all(mask & fired for fired in fires)
-                    child = list(heads)
-                    for i in combo:
-                        child[i] |= 1 << v
-                    assert passes == feasible(child, v + 1)
+                    assert passes == feasible(with_head(heads, combo, v), v + 1)
                     outcomes.add(passes)
                 nodes += 1
         assert nodes > 200
         assert outcomes == {True, False}
+
+    def test_deficit_bound_never_exceeds_the_cheapest_leaf_below(self):
+        # at a random node, cost + sum of w_i * need_i is at most the cost of
+        # the cheapest feasible leaf below it, and a body with no qualifying
+        # j (the cut under an infinite incumbent) occurs only at a node that
+        # has no feasible leaf below it
+        rng = random.Random(6600)
+        nodes = tight = no_j_nodes = 0
+        for inst in random_instances(150, 6700, n_range=(3, 5), m_range=(2, 4)):
+            weights = rng.choice(([1] * inst.m, [len(b) + 1 for b in inst.bodies]))
+            search = exact._ClauseSearch(inst, weights, None)
+            opts = search.head_options
+
+            def cheapest(heads, u, cost):
+                """The cost of the cheapest feasible leaf below, or None."""
+                if u == inst.n:
+                    return cost if all_bodies_close(inst, heads) else None
+                below = [cheapest(with_head(heads, c, u), u + 1, cost + w) for w, c, _m in opts[u]]
+                return min((c for c in below if c is not None), default=None)
+
+            for _ in range(4):
+                v = rng.randint(max(0, inst.n - 3), inst.n - 1)
+                heads, cost = [0] * inst.m, 0
+                for u in range(v):
+                    w, combo, _mask = rng.choice(opts[u])
+                    heads, cost = with_head(heads, combo, u), cost + w
+                search.heads_of = heads
+                leaf = cheapest(heads, v, cost)
+                search.best = float("inf")
+                no_j = search._deficit_cut(v, cost)
+                if leaf is None:
+                    no_j_nodes += no_j
+                    continue
+                assert not no_j
+                search.best = leaf + 1
+                assert not search._deficit_cut(v, cost)
+                search.best = leaf
+                tight += search._deficit_cut(v, cost)
+                nodes += 1
+        assert nodes > 200
+        # the bound is reached at some nodes, and the no-j case does occur
+        assert tight > 0 and no_j_nodes > 0
