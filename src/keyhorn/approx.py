@@ -44,7 +44,6 @@ class MinimizationResult:
     """A verified representation with its size, bound and guarantee."""
 
     formula: HornCNF
-    measure: Measure
     size: int
     lower_bound: int
     guarantee: Fraction
@@ -60,17 +59,22 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
+def _arborescence_factor(inst: KeyHornInstance, mu: Measure) -> Fraction:
+    """The factor Procedure 1 (C, BC) or Procedure 2 (L) proves on its own,
+    without the ``k`` term that only the cycle realizes."""
+    if mu is Measure.L:
+        return Fraction(108, 17) * _ceil_log2(inst.k) + 2
+    return Fraction(min(_ceil_log2(inst.n) + 1, _ceil_log2(inst.k) + 2))
+
+
 def guarantee_factor(inst: KeyHornInstance, mu: Measure) -> Fraction:
     """The proved approximation factor of ``minimize`` for this measure."""
-    n, k = inst.n, inst.k
     if mu in (Measure.B, Measure.BA):
         return Fraction(1)
     if mu is Measure.TA:
         return Fraction(2)
-    if mu in (Measure.C, Measure.BC):
-        return Fraction(min(_ceil_log2(n) + 1, _ceil_log2(k) + 2, k))
-    if mu is Measure.L:
-        return min(Fraction(108, 17) * _ceil_log2(k) + 2, Fraction(k))
+    if mu in (Measure.C, Measure.BC, Measure.L):
+        return min(_arborescence_factor(inst, mu), Fraction(inst.k))
     raise ValueError(f"unknown measure {mu!r}")
 
 
@@ -103,19 +107,16 @@ def lower_bound(inst: KeyHornInstance, mu: Measure, partition_c: int | None = No
     raise ValueError(f"unknown measure {mu!r}")
 
 
-def lower_bound_partition_c(inst: KeyHornInstance, g: BodyGraph | None = None) -> int:
+def lower_bound_partition_c(inst: KeyHornInstance) -> int:
     """Clause-count bound from the singleton partition: chaining out of each
     body B costs at least the cheapest |B' \\ B| over the other bodies, so
-    the bound is the sum of the off-diagonal row minima of the C body graph
-    ``g`` (built here when not given).
+    the bound is the sum of the off-diagonal row minima of the C body graph.
 
     Valid for any Sperner family; normalization is not required.
     """
     if inst.m < 2:
         raise ValueError("partition bound needs at least two bodies")
-    if g is None:
-        g = body_graph_c(inst)
-    return sum(g.cheapest_arcs())
+    return sum(body_graph_c(inst).cheapest_arcs())
 
 
 def _require_normalized(inst: KeyHornInstance) -> None:
@@ -142,15 +143,12 @@ def hamiltonian_formula(inst: KeyHornInstance) -> HornCNF:
     return _verified(HornCNF(inst.n, groups), inst)
 
 
-def procedure1(inst: KeyHornInstance, g: BodyGraph | None = None) -> HornCNF:
+def procedure1(inst: KeyHornInstance) -> HornCNF:
     """Clause-count minimizer: a minimum clause-cost spanning in-arborescence
-    of the C body graph ``g`` (built here when not given) routes every body's
-    chaining to a root body, which then implies the rest of the universe
-    directly."""
+    of the C body graph routes every body's chaining to a root body, which
+    then implies the rest of the universe directly."""
     _require_normalized(inst)
-    if g is None:
-        g = body_graph_c(inst)
-    arb = min_in_arborescence(g)
+    arb = min_in_arborescence(body_graph_c(inst))
     bodies = inst.bodies
     groups = [
         ClauseGroup(bodies[x], bodies[s] - bodies[x]) for x, s in arb.succ.items()
@@ -181,12 +179,10 @@ def _chain_groups(inst: KeyHornInstance, g: BodyGraph):
     return chain
 
 
-def procedure2(inst: KeyHornInstance, g_c: BodyGraph | None = None) -> HornCNF:
+def procedure2(inst: KeyHornInstance) -> HornCNF:
     """Literal-count minimizer: a minimum literal-cost spanning
     in-arborescence rooted at a smallest body, each tree arc realized by its
-    shortest-path chain formula, plus the root's full clause group.  The
-    body graph is derived from ``g_c``, the instance's C body graph, when it
-    is given.
+    shortest-path chain formula, plus the root's full clause group.
 
     Lemma: a tree arc x -> s of weight t = ``g.weight[x][s]`` is realized by
     the one group ``B_x -> B_s \\ B_x`` unless some v not in {x, s} has
@@ -201,7 +197,7 @@ def procedure2(inst: KeyHornInstance, g_c: BodyGraph | None = None) -> HornCNF:
     s -> m has an empty head set, which the formula drops.
     """
     _require_normalized(inst)
-    g = body_graph_l(inst, g_c)
+    g = body_graph_l(inst)
     root = 0  # canonical body order puts a smallest body first
     arb = min_in_arborescence(g, root=root)
     bodies = inst.bodies
@@ -224,9 +220,9 @@ STRATEGY_TARGETS = {
 # the constructions are looked up by name at call time, so a rebinding of
 # them (as by the benchmark's span tracer) is seen
 _BUILD = {
-    STRATEGY_HAMILTONIAN: lambda table: hamiltonian_formula(table.inst),
-    STRATEGY_PROCEDURE1: lambda table: procedure1(table.inst, table.graph_c()),
-    STRATEGY_PROCEDURE2: lambda table: procedure2(table.inst, table.graph_c()),
+    STRATEGY_HAMILTONIAN: lambda inst: hamiltonian_formula(inst),
+    STRATEGY_PROCEDURE1: lambda inst: procedure1(inst),
+    STRATEGY_PROCEDURE2: lambda inst: procedure2(inst),
 }
 
 
@@ -234,44 +230,34 @@ class CandidateTable:
     """The candidates of one normalized instance (the Hamiltonian cycle and
     Procedures 1 and 2), each built and verified on first use and shared by
     every measure.  The table is the one place that scores a candidate, and
-    it computes each lower bound once.
-
-    It builds the C body graph once, on first use, for Procedure 1, the
-    partition bound and the L body graph of Procedure 2; the cycle measures
-    B, BA and TA build no graph."""
+    it computes each lower bound once.  The cycle measures B, BA and TA
+    build no body graph."""
 
     def __init__(self, inst: KeyHornInstance):
         _require_normalized(inst)
         self.inst = inst
         self._formulas: dict[str, HornCNF] = {}
         self._bounds: dict[Measure, int] = {}
-        self._graph_c: BodyGraph | None = None
-
-    def graph_c(self) -> BodyGraph:
-        """The C body graph, built on first use."""
-        if self._graph_c is None:
-            self._graph_c = body_graph_c(self.inst)
-        return self._graph_c
 
     def score(self, strategy: str, mu: Measure) -> MinimizationResult:
-        """One candidate as a ``mu`` result with its own guarantee: that is
-        ``guarantee_factor``, except that the cycle only guarantees k for C,
-        BC and L, whose factors rest on the arborescence constructions."""
+        """One candidate as a ``mu`` result with the guarantee its own
+        construction proves: ``guarantee_factor`` for the cycle on B, BA and
+        TA and k on the others, and an arborescence procedure's factor
+        without the ``min{..., k}`` term, which only the cycle realizes."""
         if mu not in STRATEGY_TARGETS[strategy]:
             raise ValueError(f"{strategy} does not construct a {mu} representation")
         if strategy not in self._formulas:
-            self._formulas[strategy] = _BUILD[strategy](self)
+            self._formulas[strategy] = _BUILD[strategy](self.inst)
         if mu not in self._bounds:
-            part = None
-            if mu is Measure.C:
-                part = lower_bound_partition_c(self.inst, self.graph_c())
-            self._bounds[mu] = lower_bound(self.inst, mu, part)
-        if strategy == STRATEGY_HAMILTONIAN and mu not in (Measure.B, Measure.BA, Measure.TA):
-            guarantee = Fraction(self.inst.k)
-        else:
+            self._bounds[mu] = lower_bound(self.inst, mu)
+        if strategy != STRATEGY_HAMILTONIAN:
+            guarantee = _arborescence_factor(self.inst, mu)
+        elif mu in (Measure.B, Measure.BA, Measure.TA):
             guarantee = guarantee_factor(self.inst, mu)
+        else:
+            guarantee = Fraction(self.inst.k)
         phi = self._formulas[strategy]
-        return MinimizationResult(phi, mu, measure_size(phi, mu), self._bounds[mu], guarantee, strategy)
+        return MinimizationResult(phi, measure_size(phi, mu), self._bounds[mu], guarantee, strategy)
 
     def best(self, mu: Measure) -> MinimizationResult:
         """B/BA are exact and TA is 2-approximate with the cycle; C/BC and L

@@ -302,7 +302,7 @@ def cmd_minimize(args) -> int:
         report["instance"] = _instance_block(KeyHornInstance(triv.n, [triv.body]))
         for mu in measures:
             size = measure_size(phi, mu)
-            res = MinimizationResult(phi, mu, size, size, Fraction(1), STRATEGY_EXACT)
+            res = MinimizationResult(phi, size, size, Fraction(1), STRATEGY_EXACT)
             results_block[str(mu)] = _result_block(res, size)
         out_formula = phi
 
@@ -518,14 +518,14 @@ def cmd_mwscs(args) -> int:
     g = body_graph_c(inst)
     arcs, weight = mwscs_2approx(g)
     # a single body is strongly connected on its own and has no entering arc
-    entering = sum(g.cheapest_arcs(entering=True))
+    entering = g.cheapest_arcs(entering=True)
     out = {
         "format": 1,
         "version": __version__,
         "nodes": g.m,
         "weight": weight,
         "arc_count": len(arcs),
-        "entering_arc_bound": entering,
+        "entering_arc_bound": sum(entering),
     }
     pinst = _detect_projective(inst)
     if args.projective_d is not None:
@@ -534,7 +534,9 @@ def cmd_mwscs(args) -> int:
                 "--projective-d given but the input is not that construction"
             )
     if pinst is not None:
-        min_x = pinst.min_price_into_hyperplane_shifts()
+        # the cheapest arc entering a hyperplane shift, off its column minima
+        shifts = set(pinst.hyperplane_shifts())
+        min_x = min(e for b, e in zip(g.nodes, entering) if b in shifts)
         csize = measure_size(pinst.certificate, Measure.C)
         out["projective"] = {
             "d": pinst.dim,

@@ -415,7 +415,7 @@ class KeyHornInstance:
     bodies; normalization (module ``reduce``) removes both.
     """
 
-    __slots__ = ("n", "bodies", "m", "k", "delta")
+    __slots__ = ("n", "bodies", "m", "k", "delta", "_graph_c")
 
     def __init__(self, n: int, bodies: Iterable[VarSet]):
         fam = canonical_sorted(set(bodies))
@@ -438,6 +438,7 @@ class KeyHornInstance:
         self.m = len(fam)
         self.k = max(len(b) for b in fam)
         self.delta = min(len(b) for b in fam)
+        self._graph_c = None  # the C body graph, kept by ``graph.body_graph_c``
 
     @property
     def is_normalized(self) -> bool:

@@ -127,20 +127,6 @@ class ProjectiveInstance:
     def hyperplane_shifts(self) -> tuple[VarSet, ...]:
         return self.bodies[: self.n]
 
-    def min_price_into_hyperplane_shifts(self) -> int:
-        """Measured minimum clause cost over arcs entering a hyperplane
-        shift; a per-node lower bound for any strongly connected subgraph."""
-        best = None
-        for tgt in self.hyperplane_shifts():
-            for src in self.bodies:
-                if src == tgt:
-                    continue
-                w = len(tgt - src)
-                if best is None or w < best:
-                    best = w
-        assert best is not None
-        return best
-
 
 def gen_projective(d: int) -> ProjectiveInstance:
     """Binary projective space of dimension ``d`` (2 <= d <= 6) as a body

@@ -81,12 +81,15 @@ def price_c(b: VarSet, b2: VarSet) -> int:
 def body_graph_c(inst: KeyHornInstance) -> BodyGraph:
     """Complete body graph under the clause-count arc costs: the weight of
     i -> j is |B_j \\ B_i|.  It is the one pairwise table an instance
-    counts; the partition bound and ``body_graph_l`` are derived from it."""
-    masks = [b.mask for b in inst.bodies]
-    sizes = [len(b) for b in inst.bodies]
-    # |B_j| - |B_i & B_j|, which is 0 on the diagonal
-    weight = tuple(tuple(s - (a & b).bit_count() for s, b in zip(sizes, masks)) for a in masks)
-    return BodyGraph(inst.bodies, weight)
+    counts; the partition bound and ``body_graph_l`` are derived from it.
+    It is built on the first call and kept on the instance."""
+    if inst._graph_c is None:
+        masks = [b.mask for b in inst.bodies]
+        sizes = [len(b) for b in inst.bodies]
+        # |B_j| - |B_i & B_j|, which is 0 on the diagonal
+        weight = tuple(tuple(s - (a & b).bit_count() for s, b in zip(sizes, masks)) for a in masks)
+        inst._graph_c = BodyGraph(inst.bodies, weight)
+    return inst._graph_c
 
 
 def lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFormula:
@@ -152,7 +155,7 @@ def _row_layout(m: int, cap: int) -> tuple[struct.Struct, int]:
     raise ValueError(f"arc weights up to {cap} do not fit 8-byte row fields")
 
 
-def body_graph_l(inst: KeyHornInstance, g_c: BodyGraph | None = None) -> BodyGraph:
+def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
     """Complete body graph under the literal arc costs.
 
     ``weight[i][j]`` equals ``lambda_formula(inst, bodies[i], bodies[j]).weight``:
@@ -167,19 +170,16 @@ def body_graph_l(inst: KeyHornInstance, g_c: BodyGraph | None = None) -> BodyGra
     order (a DAG, no heap) gives the exact distances.  Relaxing between
     bodies of equal size is harmless: every candidate is a real chain.
 
-    Identity: with C the clause-count graph ``g_c`` (``body_graph_c``, built
-    here when not given), row i of C is |B_v \\ B_i| over v, the direct arcs
-    up to the factor |B_i| + 1, and |B_v \\ (B_i | B_u)| = C[i][v] + C[u][v]
-    - |B_v| + |B_u & B_v & B_i|.  The triple term, nonzero only for bodies
-    sharing a variable of B_u & B_i, is added through per-variable holder
-    lists.
+    Identity: with C the clause-count graph ``body_graph_c(inst)``, row i of
+    C is |B_v \\ B_i| over v, the direct arcs up to the factor |B_i| + 1, and
+    |B_v \\ (B_i | B_u)| = C[i][v] + C[u][v] - |B_v| + |B_u & B_v & B_i|.  The
+    triple term, nonzero only for bodies sharing a variable of B_u & B_i, is
+    added through per-variable holder lists.
     """
     bodies = inst.bodies
     m = inst.m
     masks = [b.mask for b in bodies]
     sizes = [len(b) for b in bodies]
-    if g_c is None:
-        g_c = body_graph_c(inst)
     # A row of m small nonnegative integers is one int, field v at bit v*w,
     # so adding, scaling and taking the minimum of rows are a few big-int
     # operations.  Every field value stays below 2**(w-1): the top bit of a
@@ -195,7 +195,7 @@ def body_graph_l(inst: KeyHornInstance, g_c: BodyGraph | None = None) -> BodyGra
     guard = ones << (w - 1)
     field = (1 << w) - 1
     packed_sizes = pack(sizes)
-    outside = [pack(row) for row in g_c.weight]  # row i: |B_v \ B_i|
+    outside = [pack(row) for row in body_graph_c(inst).weight]  # row i: |B_v \ B_i|
     units = [1 << (v * w) for v in range(m)]
     holders: dict[int, list[int]] = {}  # variable -> the units of the bodies holding it
     for v, body in enumerate(bodies):

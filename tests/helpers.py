@@ -20,6 +20,7 @@ from keyhorn import (
     KeyHornInstance,
     LambdaFormula,
     NoBodyInSourceError,
+    ProjectiveInstance,
     TrivialInstance,
     UniverseMismatchError,
     VarSet,
@@ -46,6 +47,22 @@ def counting(monkeypatch, module, name) -> list[tuple]:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def c_graph_builds(monkeypatch) -> list[KeyHornInstance]:
+    """Record every C body graph stored on an instance, that is every build,
+    in the returned list (one entry per build, the instance it is for).  A
+    call of ``body_graph_c`` that finds the graph already kept is no build."""
+    builds = []
+    slot = KeyHornInstance._graph_c
+
+    def store(inst, graph):
+        if graph is not None:
+            builds.append(inst)
+        slot.__set__(inst, graph)
+
+    monkeypatch.setattr(KeyHornInstance, "_graph_c", property(slot.__get__, store))
+    return builds
 
 
 def random_raw_family(rng: random.Random, max_n: int = 8) -> tuple[int, list[VarSet]]:
@@ -562,8 +579,9 @@ def ref_procedure2(inst: KeyHornInstance) -> HornCNF:
 
 
 # ---------------------------------------------------------------------------
-# Reference partition bound: the direct recount of |B_j \ B_i| the package
-# used before the bound was read off the C body graph.
+# Reference partition bound and hyperplane entering price: the direct
+# recounts of |B_j \ B_i| the package used before both were read off the C
+# body graph.
 # ---------------------------------------------------------------------------
 
 
@@ -575,6 +593,22 @@ def ref_lower_bound_partition_c(inst: KeyHornInstance) -> int:
             (masks[j] & ~bi).bit_count() for j in range(inst.m) if j != i
         )
     return total
+
+
+def ref_min_price_into_hyperplane_shifts(p: ProjectiveInstance) -> int:
+    """Measured minimum clause cost over arcs entering a hyperplane shift,
+    recounted pairwise; a per-node lower bound for any strongly connected
+    subgraph."""
+    best = None
+    for tgt in p.hyperplane_shifts():
+        for src in p.bodies:
+            if src == tgt:
+                continue
+            w = len(tgt - src)
+            if best is None or w < best:
+                best = w
+    assert best is not None
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from helpers import (
     random_raw_family,
     random_subset,
     random_weight_matrix,
+    ref_min_price_into_hyperplane_shifts,
 )
 
 
@@ -151,7 +152,7 @@ def test_criterion_4_projective_gap_regression():
     # of its families, so the formula's clause count is 3n - d - 2
     assert csize == 3 * p.n - p.dim - 2 == 87
     assert csize <= 3 * p.n
-    min_x = p.min_price_into_hyperplane_shifts()
+    min_x = ref_min_price_into_hyperplane_shifts(p)
     assert min_x >= 8
     scs_bound = p.n * min_x
     assert scs_bound >= 248

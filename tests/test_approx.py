@@ -16,14 +16,17 @@ from keyhorn import (
     measure_size,
     minimize,
     minimize_all,
+    opt_exact_all,
     procedure1,
     procedure2,
     verify_representation,
 )
 
-from keyhorn import approx, cli, graph
+from keyhorn import approx, cli
+from keyhorn.exact import MAX_CANDIDATES
 
 from helpers import (
+    c_graph_builds,
     counting,
     equivalent,
     psi,
@@ -78,7 +81,7 @@ class TestLowerBounds:
                 min(w for j, w in enumerate(row) if j != i) for i, row in enumerate(g.weight)
             )
             want = ref_lower_bound_partition_c(inst)
-            assert lower_bound_partition_c(inst) == lower_bound_partition_c(inst, g) == want
+            assert lower_bound_partition_c(inst) == want
             assert minima == want
 
     def test_requires_normalized(self):
@@ -200,25 +203,19 @@ class TestCandidateTable:
                 assert verify_representation(minimize(inst, mu).formula, inst)
 
     def test_each_candidate_built_once_per_instance(self, monkeypatch):
-        names = (
-            "hamiltonian_formula",
-            "procedure1",
-            "procedure2",
-            "lower_bound_partition_c",
-            "body_graph_c",
-        )
+        names = ("hamiltonian_formula", "procedure1", "procedure2", "lower_bound_partition_c")
         calls = {name: counting(monkeypatch, approx, name) for name in names}
-        # a C graph built inside body_graph_l would be counted here
-        graph_calls = counting(monkeypatch, graph, "body_graph_c")
-        inst = random_instances(1, 3300)[0]
+        builds = c_graph_builds(monkeypatch)
+        inst, fresh = random_instances(2, 3300)
         minimize_all(inst)
         for name in ("hamiltonian_formula", "procedure1", "procedure2"):
             assert len(calls[name]) == 1
-        # once, for the table's C bound, from the one C graph
+        # once, for the table's C bound
         assert len(calls["lower_bound_partition_c"]) == 1
-        assert len(calls["body_graph_c"]) == 1 and graph_calls == []
-        minimize(inst, Measure.B)
-        assert len(calls["body_graph_c"]) == 1 and graph_calls == []
+        # Procedure 1, the partition bound and Procedure 2's L graph share it
+        assert builds == [inst]
+        minimize(fresh, Measure.B)
+        assert builds == [inst]
 
     def test_forced_cycle_for_all_measures_builds_it_once(self, tmp_path, monkeypatch, capsys):
         inst = random_instances(1, 3400)[0]
@@ -228,6 +225,27 @@ class TestCandidateTable:
         argv = ["minimize", "--in", str(path), "--measure", "all", "--strategy", "hamiltonian"]
         assert cli.main(argv) == 0
         assert len(calls) == 1
+
+    def test_every_score_meets_its_own_guarantee(self):
+        # five singletons: Procedure 1 emits 8 clauses against the optimum 5,
+        # within its own factor 2 but not the cycle's k = 1
+        singletons5 = KeyHornInstance(5, [VarSet(5, [v]) for v in range(1, 6)])
+        assert measure_size(procedure1(singletons5), Measure.C) == 8
+        drawn = [singletons5] + random_instances(150, 3600, (5, 8), (3, 6), (2, 5))
+        for inst in drawn:
+            if sum(inst.n - len(b) for b in inst.bodies) > MAX_CANDIDATES:
+                continue
+            opts = opt_exact_all(inst)
+            table = approx.CandidateTable(inst)
+            for strategy, targets in approx.STRATEGY_TARGETS.items():
+                for mu in targets:
+                    res = table.score(strategy, mu)
+                    # size / opt <= guarantee, cross-multiplied
+                    g = res.guarantee
+                    assert res.size * g.denominator <= opts[mu].size * g.numerator, (strategy, mu)
+            for mu in MEASURES:
+                best = table.best(mu)
+                assert best.guarantee == guarantee_factor(inst, mu)
 
     def test_score_rejects_measures_a_procedure_does_not_target(self):
         table = approx.CandidateTable(TRIANGLE)

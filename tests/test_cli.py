@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli, exact, graph
+from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli, exact, gen_projective
 from keyhorn.cli import (
     ParseError,
     main,
@@ -23,7 +23,13 @@ from keyhorn.cli import (
     write_horn,
 )
 
-from helpers import counting, random_cnf, random_instances
+from helpers import (
+    c_graph_builds,
+    counting,
+    random_cnf,
+    random_instances,
+    ref_min_price_into_hyperplane_shifts,
+)
 
 TRIANGLE_TEXT = "c triangle\np keyhorn 3 3\n1 2\n2 3\n1 3\n"
 # a family whose exact C search does not finish at once: its seed has size 9
@@ -355,11 +361,22 @@ class TestOtherCommands:
         assert report["lower_bounds"]["L"] == 9
         assert report["lower_bounds"]["C_partition"] == 3
 
-    def test_bounds_builds_one_c_graph(self, tri_file, capsys, monkeypatch):
-        # wherever it is looked up: the command, or a bound built unaided
-        built = [counting(monkeypatch, mod, "body_graph_c") for mod in (cli, approx, graph)]
-        assert main(["bounds", "--in", tri_file]) == 0
-        assert sum(map(len, built)) == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [["minimize", "--measure", "all"], ["bounds"], ["mwscs"], ["exact", "--measure", "all"]],
+        ids=["minimize", "bounds", "mwscs", "exact"],
+    )
+    def test_builds_one_c_graph_per_instance(self, tri_file, capsys, monkeypatch, argv):
+        # every consumer reads the graph kept on the instance
+        builds = c_graph_builds(monkeypatch)
+        assert main([argv[0], "--in", tri_file, *argv[1:]]) == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("measure", ["B", "BA", "TA"])
+    def test_cycle_measures_build_no_c_graph(self, tri_file, capsys, monkeypatch, measure):
+        builds = c_graph_builds(monkeypatch)
+        assert main(["minimize", "--in", tri_file, "--measure", measure]) == 0
+        assert builds == []
 
     def test_bounds_takes_one_partition_bound(self, tri_file, capsys, monkeypatch):
         # the C bound reuses the C_partition value instead of summing the
@@ -472,6 +489,19 @@ class TestOtherCommands:
         rc = main(["mwscs", "--in", str(f), "--projective-d", "2"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == report
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mwscs_reports_the_pairwise_hyperplane_price(self, tmp_path, capsys, monkeypatch, d):
+        p = gen_projective(d)
+        f = tmp_path / "pg.bodies"
+        f.write_text(write_bodies(p.n, p.bodies))
+        builds = c_graph_builds(monkeypatch)
+        assert main(["mwscs", "--in", str(f), "--projective-d", str(d)]) == 0
+        report = json.loads(capsys.readouterr().out)["projective"]
+        want = ref_min_price_into_hyperplane_shifts(p)
+        assert report["min_entering_hyperplane_shift"] == want
+        assert report["hyperplane_bound"] == p.n * want
+        assert len(builds) == 1
 
     def test_mwscs_plain_instance_has_no_projective_block(self, tri_file, capsys):
         rc = main(["mwscs", "--in", tri_file])
