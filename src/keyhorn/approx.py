@@ -87,7 +87,7 @@ def lower_bound(inst: KeyHornInstance, mu: Measure, partition_c: int | None = No
     count also takes the partition bound (a normalized family has m >= 2),
     ``partition_c`` when it is given.
     """
-    _require_normalized(inst)
+    inst.require_normalized()
     n, m, delta = inst.n, inst.m, inst.delta
     sum_bodies = sum(len(b) for b in inst.bodies)
     if mu is Measure.B:
@@ -119,11 +119,6 @@ def lower_bound_partition_c(inst: KeyHornInstance) -> int:
     return sum(body_graph_c(inst).cheapest_arcs())
 
 
-def _require_normalized(inst: KeyHornInstance) -> None:
-    if not inst.is_normalized:
-        raise ValueError("instance must be normalized (covering and coreless)")
-
-
 def _verified(formula: HornCNF, inst: KeyHornInstance) -> HornCNF:
     res = verify_representation(formula, inst)
     if not res:
@@ -135,7 +130,7 @@ def hamiltonian_formula(inst: KeyHornInstance) -> HornCNF:
     """Representation from the Hamiltonian cycle of the body graph in body
     order: each body implies the next body's missing variables, the last
     the first's.  A k-approximation for every measure."""
-    _require_normalized(inst)
+    inst.require_normalized()
     if inst.m < 2:
         raise ValueError("a cycle needs at least two bodies")
     bodies = inst.bodies
@@ -147,7 +142,7 @@ def procedure1(inst: KeyHornInstance) -> HornCNF:
     """Clause-count minimizer: a minimum clause-cost spanning in-arborescence
     of the C body graph routes every body's chaining to a root body, which
     then implies the rest of the universe directly."""
-    _require_normalized(inst)
+    inst.require_normalized()
     arb = min_in_arborescence(body_graph_c(inst))
     bodies = inst.bodies
     groups = [
@@ -196,7 +191,7 @@ def procedure2(inst: KeyHornInstance) -> HornCNF:
     latter wins the lexicographic tie-break (s < m), and its second arc
     s -> m has an empty head set, which the formula drops.
     """
-    _require_normalized(inst)
+    inst.require_normalized()
     g = body_graph_l(inst)
     root = 0  # canonical body order puts a smallest body first
     arb = min_in_arborescence(g, root=root)
@@ -234,7 +229,7 @@ class CandidateTable:
     build no body graph."""
 
     def __init__(self, inst: KeyHornInstance):
-        _require_normalized(inst)
+        inst.require_normalized()
         self.inst = inst
         self._formulas: dict[str, HornCNF] = {}
         self._bounds: dict[Measure, int] = {}

@@ -275,10 +275,9 @@ class _Propagator:
     not by counting every body outside z.
     """
 
-    __slots__ = ("n", "full_mask", "head_masks", "sizes", "occ", "slot")
+    __slots__ = ("full_mask", "head_masks", "sizes", "occ", "slot")
 
     def __init__(self, phi: HornCNF):
-        self.n = phi.n
         self.full_mask = (1 << phi.n) - 1
         self.head_masks: list[int] = []
         self.sizes: list[int] = []
@@ -449,6 +448,11 @@ class KeyHornInstance:
             union |= b.mask
             inter &= b.mask
         return union.bit_count() == self.n and inter == 0
+
+    def require_normalized(self) -> None:
+        """Raise ``ValueError`` unless the instance ``is_normalized``."""
+        if not self.is_normalized:
+            raise ValueError("instance must be normalized (covering and coreless)")
 
     def __eq__(self, other: object) -> bool:
         return (

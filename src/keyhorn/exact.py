@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence
 
-from . import approx
 from .core import MEASURES, ClauseGroup, HornCNF, KeyHornInstance, Measure, VarSet, measure_size
 from .graph import NoBodyInSourceError
 
@@ -276,32 +275,28 @@ class _ClauseSearch:
 
 
 def _search_weighted(
-    table: approx.CandidateTable,
-    weights: list[int],
-    seed_mu: Measure,
-    deadline: Optional[float],
+    inst: KeyHornInstance, weights: list[int], deadline: Optional[float]
 ) -> OptResult:
-    """Clause search under ``weights`` below the table's best ``seed_mu``
-    result, whose groups all sit on instance bodies: its cost is its size.
-    After a timeout the result is the best leaf found if it beats the seed,
-    else the seed."""
-    seed = table.best(seed_mu)
-    inst = table.inst
+    """Clause search under ``weights`` below the Hamiltonian cycle in body
+    order, written as the search's own leaf: body i's heads are B_{i+1}
+    minus B_i (the last body's, B_0 minus it).  The cycle is feasible, since
+    each head v has a body B_{i+1} with v after a body B_i without it, and
+    every cut is admissible, so a finished search returns the first cheapest
+    leaf in its order, as from any incumbent above the optimum.  After a
+    timeout the result is the best leaf found, or the cycle if none was."""
+    masks = [b.mask for b in inst.bodies]
+    heads = [nxt & ~b for b, nxt in zip(masks, masks[1:] + masks[:1])]
     search = _ClauseSearch(inst, weights, deadline)
+    optimal = True
     try:
-        search.run(seed.size + 1)
+        search.run(sum(w * h.bit_count() for w, h in zip(weights, heads)) + 1)
     except _Timeout:
-        if search.best >= seed.size:
-            return OptResult(seed.size, seed.formula, False)
         optimal = False
-    else:
-        optimal = True
-    # a finished search finds at least the seed, which lies in its space
-    assert search.best_heads is not None
-    groups = [
-        ClauseGroup(b, VarSet.from_mask(inst.n, h)) for b, h in zip(inst.bodies, search.best_heads)
-    ]
-    return OptResult(search.best, HornCNF(inst.n, groups), optimal)
+    if search.best_heads is not None:
+        heads = search.best_heads
+    groups = [ClauseGroup(b, VarSet.from_mask(inst.n, h)) for b, h in zip(inst.bodies, heads)]
+    size = sum(w * h.bit_count() for w, h in zip(weights, heads))
+    return OptResult(size, HornCNF(inst.n, groups), optimal)
 
 
 def opt_exact_all(
@@ -321,7 +316,7 @@ def opt_exact_all(
     check_cap("max_candidates", max_candidates)
     if timeout is not None and math.isnan(timeout):
         raise ValueError("timeout must be a number of seconds, not nan")
-    table = approx.CandidateTable(inst)  # rejects an unnormalized instance
+    inst.require_normalized()
     n_cands = sum(inst.n - len(b) for b in inst.bodies)
     if n_cands > max_candidates:
         raise SearchLimitError(
@@ -330,10 +325,10 @@ def opt_exact_all(
     deadline = None if timeout is None else time.monotonic() + timeout
     out: dict[Measure, OptResult] = {}
     if any(mu is not Measure.L for mu in measures):
-        # the result, a search leaf or the seed, gives every body one group,
+        # the result, a search leaf or the cycle, gives every body one group,
         # so its B and BA are the fixed m and body area, and its C is the
         # unit search's size
-        unit = _search_weighted(table, [1] * inst.m, Measure.C, deadline)
+        unit = _search_weighted(inst, [1] * inst.m, deadline)
         out = {
             mu: replace(unit, size=measure_size(unit.formula, mu))
             for mu in measures
@@ -341,5 +336,5 @@ def opt_exact_all(
         }
     if Measure.L in measures:
         weights = [len(b) + 1 for b in inst.bodies]
-        out[Measure.L] = _search_weighted(table, weights, Measure.L, deadline)
+        out[Measure.L] = _search_weighted(inst, weights, deadline)
     return out

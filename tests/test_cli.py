@@ -32,7 +32,8 @@ from helpers import (
 )
 
 TRIANGLE_TEXT = "c triangle\np keyhorn 3 3\n1 2\n2 3\n1 3\n"
-# a family whose exact C search does not finish at once: its seed has size 9
+# a family whose exact C search does not finish at once: its body-order
+# cycle has C size 11 and the optimum is 7
 SEED9_TEXT = "p keyhorn 8 6\n1 4 5\n2 5\n4 6\n3 5\n3 4\n1 2 3\n"
 
 
@@ -322,7 +323,7 @@ class TestOtherCommands:
         rc = main(["exact", "--in", str(p), "--measure", "C", "--timeout", "-1"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["results"]["C"] == {"opt": 9, "optimal": False}
+        assert report["results"]["C"] == {"opt": 11, "optimal": False}
 
     @pytest.mark.parametrize("text", [SEED9_TEXT, "p keyhorn 3 1\n1 2\n"], ids=["seed9", "one-body"])
     def test_exact_rejects_a_nan_timeout(self, tmp_path, capsys, text):
@@ -363,14 +364,19 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize(
         "argv",
-        [["minimize", "--measure", "all"], ["bounds"], ["mwscs"], ["exact", "--measure", "all"]],
-        ids=["minimize", "bounds", "mwscs", "exact"],
+        [["minimize", "--measure", "all"], ["bounds"], ["mwscs"]],
+        ids=["minimize", "bounds", "mwscs"],
     )
     def test_builds_one_c_graph_per_instance(self, tri_file, capsys, monkeypatch, argv):
         # every consumer reads the graph kept on the instance
         builds = c_graph_builds(monkeypatch)
         assert main([argv[0], "--in", tri_file, *argv[1:]]) == 0
         assert len(builds) == 1
+
+    def test_exact_builds_no_c_graph(self, tri_file, capsys, monkeypatch):
+        builds = c_graph_builds(monkeypatch)
+        assert main(["exact", "--in", tri_file, "--measure", "all"]) == 0
+        assert builds == []
 
     @pytest.mark.parametrize("measure", ["B", "BA", "TA"])
     def test_cycle_measures_build_no_c_graph(self, tri_file, capsys, monkeypatch, measure):

@@ -24,6 +24,7 @@ from keyhorn.cli import parse_bodies
 
 from helpers import (
     RefClauseSearch,
+    c_graph_builds,
     cost_l,
     cost_lemma_check,
     counting,
@@ -38,17 +39,28 @@ SINGLETONS = KeyHornInstance(3, [VarSet(3, [1]), VarSet(3, [2]), VarSet(3, [3])]
 SEED9_TEXT = "p keyhorn 8 6\n1 4 5\n2 5\n4 6\n3 5\n3 4\n1 2 3\n"
 SEED12_TEXT = "p keyhorn 8 6\n4 5 6 7\n1 3 4 7 8\n1 2 3 5 6\n1 3 4 5\n1 5 6 7\n6 8\n"
 # families whose C searches, 28 and 27 candidates, run for several 64-node
-# deadline reads and find a leaf below the seed before the fourth
+# deadline reads and find a leaf below the cycle before the fourth
 LONG12_TEXT = "p keyhorn 8 6\n1 3 8\n4 5\n2 6 8\n1 3 5\n1 2 4 7 8\n1 3 6 7\n"
 LONG13_TEXT = "p keyhorn 8 6\n3 5\n1 2 4 6 8\n2 6 7\n2 5 7 8\n1 7 8\n5 6 7 8\n"
+
+
+def heads_formula(inst, heads):
+    """The formula giving body i the heads ``heads[i]``."""
+    groups = [ClauseGroup(b, VarSet.from_mask(inst.n, h)) for b, h in zip(inst.bodies, heads)]
+    return HornCNF(inst.n, groups)
 
 
 def all_bodies_close(inst, heads):
     """Whether the formula giving body i the heads ``heads[i]`` closes every
     body to the full set, by forward chaining."""
-    groups = [ClauseGroup(b, VarSet.from_mask(inst.n, h)) for b, h in zip(inst.bodies, heads)]
-    phi = HornCNF(inst.n, groups)
+    phi = heads_formula(inst, heads)
     return all(forward_chain_trace(phi, b)[-1].is_full() for b in inst.bodies)
+
+
+def cycle_incumbent(inst, mu):
+    """The incumbent ``_search_weighted`` starts the ``mu`` search from: one
+    above the size of the Hamiltonian cycle in body order."""
+    return measure_size(approx.hamiltonian_formula(inst), mu) + 1
 
 
 def with_head(heads, combo, v):
@@ -207,14 +219,16 @@ class TestOptExact:
         assert verify_representation(res.formula, SINGLETONS)
 
     def test_witness_verifies_and_matches(self):
-        # a timeout of -1 stops both searches at once, so the sizes then
-        # come from the seed formulas
+        # a timeout of -1 stops both searches before their first leaf, so
+        # every result is then the cycle in body order
         for timeout in (None, -1.0):
             for inst in random_instances(25, 1234):
                 for mu, res in opt_exact_all(inst, timeout=timeout).items():
                     assert res.optimal == (timeout is None)
                     assert verify_representation(res.formula, inst)
                     assert measure_size(res.formula, mu) == res.size
+                    if timeout is not None:
+                        assert res.formula == approx.hamiltonian_formula(inst)
 
     def test_b_ba_closed_forms(self):
         for inst in random_instances(25, 2345):
@@ -237,20 +251,20 @@ class TestOptExact:
             opt_exact_all(inst, max_candidates=10, measures=(Measure.C,))
 
     @pytest.mark.parametrize(
-        "text, found, seed",
+        "text, found, cycle",
         [
             (LONG12_TEXT, 11, 12),
             (LONG13_TEXT, 12, 13),
         ],
         ids=["seed12", "seed13"],
     )
-    def test_timeout_reports_best_leaf_found(self, monkeypatch, text, found, seed):
+    def test_timeout_reports_best_leaf_found(self, monkeypatch, text, found, cycle):
         n, raw = parse_bodies(text)
         inst, _rec = normalize(n, raw)
-        assert minimize(inst, Measure.C).size == seed
+        assert cycle_incumbent(inst, Measure.C) == cycle + 1
         # the clock is read for the deadline, then once every 64 search nodes;
         # four reads stop the search at its 192nd node, before it finishes
-        # (at 448 and 1936 nodes) and after it found a leaf below the seed
+        # (at 448 and 1936 nodes) and after it found a leaf below the cycle
         reads = iter([0.0] * 4)
         monkeypatch.setattr(exact.time, "monotonic", lambda: next(reads, 2.0))
         res = opt_exact_all(inst, timeout=1.0, measures=(Measure.C,))[Measure.C]
@@ -265,6 +279,11 @@ class TestOptExact:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError, match="^max_candidates must be a nonnegative integer"):
             opt_exact_all(TRIANGLE, max_candidates=-1)
+
+    def test_unnormalized_rejected_before_the_cap(self):
+        raw = KeyHornInstance(4, [VarSet(4, [1, 2]), VarSet(4, [1, 3])])
+        with pytest.raises(ValueError, match="^instance must be normalized"):
+            opt_exact_all(raw, max_candidates=0)
 
     def test_timeout_returns_flagged_upper_bound(self):
         inst = KeyHornInstance(
@@ -290,21 +309,39 @@ class TestOptExact:
         calls = []
         real = exact._search_weighted
 
-        def counted(inst, weights, seed_mu, deadline):
-            calls.append(seed_mu)
-            return real(inst, weights, seed_mu, deadline)
+        def counted(inst, weights, deadline):
+            calls.append(Measure.C if weights == [1] * inst.m else Measure.L)
+            return real(inst, weights, deadline)
 
         monkeypatch.setattr(exact, "_search_weighted", counted)
         run(TRIANGLE)
         assert calls == searches
 
-    def test_one_candidate_table_seeds_both_searches(self, monkeypatch):
+    def test_builds_no_approximation(self, monkeypatch):
+        # the searches start from their own cycle leaf, so no candidate and
+        # no C graph is built
         names = ("hamiltonian_formula", "procedure1", "procedure2", "minimize")
         calls = {name: counting(monkeypatch, approx, name) for name in names}
+        builds = c_graph_builds(monkeypatch)
         opt_exact_all(random_instances(1, 4500)[0])
-        for name in ("hamiltonian_formula", "procedure1", "procedure2"):
-            assert len(calls[name]) == 1
-        assert calls["minimize"] == []
+        assert all(seen == [] for seen in calls.values())
+        assert builds == []
+
+    def test_same_result_from_every_incumbent_above_the_optimum(self):
+        # a finished search returns the first cheapest leaf in its order, so
+        # the cycle incumbent gives the sizes and witnesses of the table's
+        # seed and of one every leaf beats
+        for inst in random_instances(300, 4600, n_range=(3, 7), m_range=(2, 5)):
+            res = opt_exact_all(inst)
+            table = approx.CandidateTable(inst)
+            unit, lit = [1] * inst.m, [len(b) + 1 for b in inst.bodies]
+            for weights, mu in ((unit, Measure.C), (lit, Measure.L)):
+                for incumbent in (table.best(mu).size + 1, sum(weights) * inst.n + 1):
+                    search = exact._ClauseSearch(inst, weights, None)
+                    search.run(incumbent)
+                    assert res[mu].optimal
+                    assert res[mu].size == search.best
+                    assert res[mu].formula == heads_formula(inst, search.best_heads)
 
 
 
@@ -317,13 +354,12 @@ class TestClauseSearchMatchesReference:
         larger = random_instances(100, 6200, n_range=(5, 7), m_range=(3, 5))
         pruned = 0
         for pos, inst in enumerate(small + larger):
-            table = approx.CandidateTable(inst)
             unit, lit = [1] * inst.m, [len(b) + 1 for b in inst.bodies]
             for weights, mu in ((unit, Measure.C), (lit, Measure.L)):
                 # the incumbent _search_weighted starts from and, on small
                 # instances, one every leaf beats, so the search runs past
-                # the seed's size
-                incumbents = [table.best(mu).size + 1]
+                # the cycle's size
+                incumbents = [cycle_incumbent(inst, mu)]
                 if pos < len(small):
                     incumbents.append(sum(weights) * inst.n + 1)
                 for incumbent in incumbents:
@@ -355,11 +391,10 @@ class TestClauseSearchMatchesReference:
         # search that closed every body afresh at each child also visited;
         # a cut only drops nodes, so it may never exceed them
         inst, _rec = normalize(*parse_bodies(text))
-        table = approx.CandidateTable(inst)
         counts = []
         for weights, mu in (([1] * inst.m, Measure.C), ([len(b) + 1 for b in inst.bodies], Measure.L)):
             search = exact._ClauseSearch(inst, weights, None)
-            search.run(table.best(mu).size + 1)
+            search.run(cycle_incumbent(inst, mu))
             counts.append(search.ticks)
         assert tuple(counts) == ticks
         assert all(c <= u for c, u in zip(counts, uncut))
