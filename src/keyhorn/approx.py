@@ -38,6 +38,13 @@ STRATEGY_HAMILTONIAN = "hamiltonian"
 STRATEGY_PROCEDURE1 = "procedure1"
 STRATEGY_PROCEDURE2 = "procedure2"
 
+# the measures each candidate is built for; the cycle represents all six
+STRATEGY_TARGETS = {
+    STRATEGY_HAMILTONIAN: MEASURES,
+    STRATEGY_PROCEDURE1: (Measure.C, Measure.BC),
+    STRATEGY_PROCEDURE2: (Measure.L,),
+}
+
 
 @dataclass(frozen=True)
 class MinimizationResult:
@@ -59,23 +66,30 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _arborescence_factor(inst: KeyHornInstance, mu: Measure) -> Fraction:
-    """The factor Procedure 1 (C, BC) or Procedure 2 (L) proves on its own,
-    without the ``k`` term that only the cycle realizes."""
-    if mu is Measure.L:
+def _factor(inst: KeyHornInstance, strategy: str, mu: Measure) -> Fraction:
+    """The approximation factor one construction proves on its own for
+    ``mu``: the cycle is exact on B and BA, 2 on TA and k elsewhere;
+    Procedure 1 (C, BC) and Procedure 2 (L) prove their logarithmic
+    factors."""
+    if strategy == STRATEGY_PROCEDURE2:
         return Fraction(108, 17) * _ceil_log2(inst.k) + 2
-    return Fraction(min(_ceil_log2(inst.n) + 1, _ceil_log2(inst.k) + 2))
-
-
-def guarantee_factor(inst: KeyHornInstance, mu: Measure) -> Fraction:
-    """The proved approximation factor of ``minimize`` for this measure."""
+    if strategy == STRATEGY_PROCEDURE1:
+        return Fraction(min(_ceil_log2(inst.n) + 1, _ceil_log2(inst.k) + 2))
     if mu in (Measure.B, Measure.BA):
         return Fraction(1)
     if mu is Measure.TA:
         return Fraction(2)
-    if mu in (Measure.C, Measure.BC, Measure.L):
-        return min(_arborescence_factor(inst, mu), Fraction(inst.k))
-    raise ValueError(f"unknown measure {mu!r}")
+    return Fraction(inst.k)
+
+
+def guarantee_factor(inst: KeyHornInstance, mu: Measure) -> Fraction:
+    """The proved approximation factor of ``minimize`` for this measure: the
+    least factor of the constructions built for it, so ``min{..., k}`` on
+    C, BC and L."""
+    factors = [_factor(inst, s, mu) for s, targets in STRATEGY_TARGETS.items() if mu in targets]
+    if not factors:
+        raise ValueError(f"unknown measure {mu!r}")
+    return min(factors)
 
 
 def lower_bound(inst: KeyHornInstance, mu: Measure, partition_c: int | None = None) -> int:
@@ -205,13 +219,6 @@ def procedure2(inst: KeyHornInstance) -> HornCNF:
     return _verified(HornCNF(inst.n, groups), inst)
 
 
-# the measures each candidate is built for; the cycle represents all six
-STRATEGY_TARGETS = {
-    STRATEGY_HAMILTONIAN: MEASURES,
-    STRATEGY_PROCEDURE1: (Measure.C, Measure.BC),
-    STRATEGY_PROCEDURE2: (Measure.L,),
-}
-
 # the constructions are looked up by name at call time, so a rebinding of
 # them (as by the benchmark's span tracer) is seen
 _BUILD = {
@@ -236,38 +243,29 @@ class CandidateTable:
 
     def score(self, strategy: str, mu: Measure) -> MinimizationResult:
         """One candidate as a ``mu`` result with the guarantee its own
-        construction proves: ``guarantee_factor`` for the cycle on B, BA and
-        TA and k on the others, and an arborescence procedure's factor
-        without the ``min{..., k}`` term, which only the cycle realizes."""
+        construction proves (``_factor``)."""
         if mu not in STRATEGY_TARGETS[strategy]:
             raise ValueError(f"{strategy} does not construct a {mu} representation")
         if strategy not in self._formulas:
             self._formulas[strategy] = _BUILD[strategy](self.inst)
         if mu not in self._bounds:
             self._bounds[mu] = lower_bound(self.inst, mu)
-        if strategy != STRATEGY_HAMILTONIAN:
-            guarantee = _arborescence_factor(self.inst, mu)
-        elif mu in (Measure.B, Measure.BA, Measure.TA):
-            guarantee = guarantee_factor(self.inst, mu)
-        else:
-            guarantee = Fraction(self.inst.k)
         phi = self._formulas[strategy]
+        guarantee = _factor(self.inst, strategy, mu)
         return MinimizationResult(phi, measure_size(phi, mu), self._bounds[mu], guarantee, strategy)
 
     def best(self, mu: Measure) -> MinimizationResult:
-        """B/BA are exact and TA is 2-approximate with the cycle; C/BC and L
-        take the smaller of their arborescence construction and the cycle,
-        ties to the construction, which realizes the ``min{..., k}`` term."""
-        if mu in (Measure.B, Measure.BA, Measure.TA):
-            ham = self.score(STRATEGY_HAMILTONIAN, mu)
-            if mu is Measure.TA:
-                return ham
-            assert ham.size == ham.lower_bound, "cycle formula must meet the body-measure optimum"
-            return replace(ham, strategy=STRATEGY_EXACT)
-        main = self.score(STRATEGY_PROCEDURE2 if mu is Measure.L else STRATEGY_PROCEDURE1, mu)
-        ham = self.score(STRATEGY_HAMILTONIAN, mu)
-        winner = main if main.size <= ham.size else ham
-        return replace(winner, guarantee=guarantee_factor(self.inst, mu))
+        """The smallest candidate built for ``mu``, ties to the arborescence
+        construction, with the least guarantee among them
+        (``guarantee_factor``), which realizes the ``min{..., k}`` term.
+        B and BA, where only the cycle is built, are exact."""
+        scored = [self.score(s, mu) for s, targets in STRATEGY_TARGETS.items() if mu in targets]
+        winner = min(scored, key=lambda r: (r.size, r.strategy == STRATEGY_HAMILTONIAN))
+        winner = replace(winner, guarantee=guarantee_factor(self.inst, mu))
+        if mu in (Measure.B, Measure.BA):
+            assert winner.size == winner.lower_bound, "cycle formula must meet the body-measure optimum"
+            return replace(winner, strategy=STRATEGY_EXACT)
+        return winner
 
 
 def minimize(inst: KeyHornInstance, mu: Measure) -> MinimizationResult:

@@ -303,26 +303,12 @@ class _Propagator:
 
     def closure_mask(self, zmask: int) -> int:
         # counts[gi] is the number of body variables of group gi not yet
-        # reached; the bits of z take theirs off first, and a group fires when
-        # its count reaches 0.  Derived heads are always disjoint from z.
+        # reached; each reached bit, of z or of a fired group's new heads,
+        # takes its count off once, and a group fires when its count reaches 0.
         occ = self.occ
         counts = self.sizes.copy()
-        ready = []
-        m = zmask
-        while m:
-            lsb = m & -m
-            m ^= lsb
-            for gi in occ.get(lsb.bit_length(), ()):
-                counts[gi] -= 1
-                if counts[gi] == 0:
-                    ready.append(gi)
         reached = zmask
-        stack: list[int] = []
-        for gi in ready:
-            new = self.head_masks[gi] & ~reached
-            if new:
-                reached |= new
-                stack.append(new)
+        stack = [zmask]
         while stack:
             if reached == self.full_mask:
                 return reached

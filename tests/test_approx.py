@@ -38,6 +38,8 @@ from helpers import (
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
 SINGLETONS = KeyHornInstance(3, [VarSet(3, [1]), VarSet(3, [2]), VarSet(3, [3])])
 PAIR = KeyHornInstance(2, [VarSet(2, [1]), VarSet(2, [2])])
+# k = 64: the logarithmic terms win over k
+HALVES = KeyHornInstance(128, [VarSet(128, range(1, 65)), VarSet(128, range(65, 129))])
 
 
 class TestLowerBounds:
@@ -151,13 +153,15 @@ class TestMinimize:
 
     def test_guarantees_shape(self):
         assert guarantee_factor(TRIANGLE, Measure.L) == Fraction(2)  # k = 2
-        big = KeyHornInstance(
-            128,
-            [VarSet(128, range(1, 65)), VarSet(128, range(65, 129))],
-        )
-        # k = 64: the logarithmic terms win over k
-        assert guarantee_factor(big, Measure.L) == Fraction(108, 17) * 6 + 2
-        assert guarantee_factor(big, Measure.C) == min(7 + 1, 6 + 2, 64)
+        assert guarantee_factor(HALVES, Measure.L) == Fraction(108, 17) * 6 + 2
+        assert guarantee_factor(HALVES, Measure.C) == min(7 + 1, 6 + 2, 64)
+        # k = 1: the cycle's k term wins over Procedure 1's factor 2
+        assert guarantee_factor(SINGLETONS, Measure.C) == 1
+        table = approx.CandidateTable(SINGLETONS)
+        assert table.score("hamiltonian", Measure.C).guarantee == 1
+        assert table.score("procedure1", Measure.C).guarantee == 2
+        with pytest.raises(ValueError, match="unknown measure 'C'"):
+            guarantee_factor(SINGLETONS, "C")
 
     def test_results_verify_and_bound(self):
         for inst in random_instances(40, 5500):
@@ -246,6 +250,29 @@ class TestCandidateTable:
             for mu in MEASURES:
                 best = table.best(mu)
                 assert best.guarantee == guarantee_factor(inst, mu)
+
+    def test_guarantee_and_best_derive_from_scores(self):
+        # the guarantee table has one source, each construction's own factor:
+        # minimize's factor is the least one built for the measure, and best
+        # is the smallest candidate, ties to the arborescence construction
+        ties = 0
+        for inst in [HALVES] + random_instances(60, 3700):
+            table = approx.CandidateTable(inst)
+            for mu in MEASURES:
+                scored = [
+                    table.score(s, mu)
+                    for s, targets in approx.STRATEGY_TARGETS.items()
+                    if mu in targets
+                ]
+                assert guarantee_factor(inst, mu) == min(r.guarantee for r in scored)
+                size = min(r.size for r in scored)
+                tied = [r for r in scored if r.size == size]
+                ties += len(tied) > 1
+                want = [r for r in tied if r.strategy != "hamiltonian"] or tied
+                best = table.best(mu)
+                assert (best.size, best.formula) == (size, want[0].formula)
+                assert best.strategy in (want[0].strategy, "exact")
+        assert ties > 0
 
     def test_score_rejects_measures_a_procedure_does_not_target(self):
         table = approx.CandidateTable(TRIANGLE)

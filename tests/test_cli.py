@@ -586,6 +586,23 @@ TOKENS = st.sampled_from(
 ) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
 
 
+def shifted_size(header: str, pos: int, delta: int) -> str:
+    """``header`` with its size token ``pos`` (2 or 3) moved by ``delta``,
+    or unchanged unless both sizes are decimal.  ``isdecimal`` accepts
+    exactly the digits ``int`` reads; ``isdigit`` also accepts ``'²'``."""
+    head = header.split()
+    if len(head) != 4 or not (head[2].isdecimal() and head[3].isdecimal()):
+        return header
+    head[pos] = str(int(head[pos]) + delta)
+    return " ".join(head)
+
+
+def test_shifted_size_skips_sizes_int_cannot_read():
+    assert shifted_size("p keyhorn 4 3", 3, -1) == "p keyhorn 4 2"
+    assert shifted_size("p keyhorn ² 3", 2, 1) == "p keyhorn ² 3"
+    assert shifted_size("p keyhorn 4 ³", 2, 1) == "p keyhorn 4 ³"
+
+
 @st.composite
 def mutated(draw, seeds) -> str:
     """A seed file with up to four edits: a token replaced, a header size
@@ -601,11 +618,8 @@ def mutated(draw, seeds) -> str:
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TOKENS)
             lines[i] = " ".join(tokens)
         elif edit == "size":
-            head = lines[0].split()
-            if len(head) == 4 and head[2].isdigit() and head[3].isdigit():
-                pos = draw(st.sampled_from((2, 3)))
-                head[pos] = str(int(head[pos]) + draw(st.integers(-2, 2)))
-                lines[0] = " ".join(head)
+            pos, delta = draw(st.sampled_from((2, 3))), draw(st.integers(-2, 2))
+            lines[0] = shifted_size(lines[0], pos, delta)
         elif edit == "drop":
             del lines[i]
         elif edit == "double":
