@@ -30,7 +30,6 @@ from .reduce import (
     lift,
     normalize,
     sperner_minimal,
-    trivial_formula,
 )
 from .graph import (
     BodyGraph,
@@ -118,7 +117,6 @@ __all__ = [
     "procedure1",
     "procedure2",
     "sperner_minimal",
-    "trivial_formula",
     "verify_against_family",
     "verify_representation",
 ]

@@ -145,8 +145,6 @@ def hamiltonian_formula(inst: KeyHornInstance) -> HornCNF:
     order: each body implies the next body's missing variables, the last
     the first's.  A k-approximation for every measure."""
     inst.require_normalized()
-    if inst.m < 2:
-        raise ValueError("a cycle needs at least two bodies")
     bodies = inst.bodies
     groups = [ClauseGroup(b, nxt - b) for b, nxt in zip(bodies, bodies[1:] + bodies[:1])]
     return _verified(HornCNF(inst.n, groups), inst)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -42,7 +41,7 @@ from .core import (
     measure_size,
     verify_against_family,
 )
-from .exact import MAX_BODIES, MAX_CANDIDATES, check_cap, opt_exact_all, price_l_exact
+from .exact import MAX_BODIES, MAX_CANDIDATES, check_cap, check_timeout, opt_exact_all, price_l_exact
 from .gen import (
     gen_hydra,
     gen_projective,
@@ -56,7 +55,7 @@ from .graph import (
     mwscs_2approx,
     price_c,
 )
-from .reduce import NormalizationRecord, TrivialInstance, lift, normalize, sperner_minimal, trivial_formula
+from .reduce import NormalizationRecord, TrivialInstance, lift, normalize, sperner_minimal
 
 
 class ParseError(ValueError):
@@ -247,11 +246,11 @@ def _measure_list(args) -> list[Measure]:
 
 
 def _verified_lift(
-    formula: HornCNF, rec: Optional[NormalizationRecord], n: int, raw: list[VarSet], what: str
+    formula: HornCNF, rec: NormalizationRecord, n: int, raw: list[VarSet], what: str
 ) -> HornCNF:
-    """``formula`` lifted back to the input's variables (with no record it
-    already is on them), verified against the input family."""
-    lifted = formula if rec is None else lift(formula, rec, raw)
+    """``formula`` lifted back to the input's variables, verified against
+    the input family."""
+    lifted = lift(formula, rec, raw)
     if not verify_against_family(lifted, n, raw):
         raise VerificationError(f"{what} failed verification")
     return lifted
@@ -298,8 +297,8 @@ def cmd_minimize(args) -> int:
                 out_formula = lifted
         timings["lift_verify_ms"] = (time.perf_counter() - t1) * 1000
     except TrivialInstance as triv:
-        phi = _verified_lift(trivial_formula(triv), None, n, raw, "trivial representation")
-        report["instance"] = _instance_block(KeyHornInstance(triv.n, [triv.body]))
+        phi = _verified_lift(HornCNF(0), triv.record, n, raw, "trivial representation")
+        report["instance"] = _instance_block(KeyHornInstance(n, [triv.record.removed_core]))
         for mu in measures:
             size = measure_size(phi, mu)
             res = MinimizationResult(phi, size, size, Fraction(1), STRATEGY_EXACT)
@@ -344,8 +343,7 @@ def cmd_verify(args) -> int:
 
 def cmd_exact(args) -> int:
     # also for a single-body family, which runs no search
-    if args.timeout is not None and math.isnan(args.timeout):
-        raise ValueError("--timeout must be a number of seconds, not nan")
+    check_timeout("--timeout", args.timeout)
     check_cap("--max-candidates", args.max_candidates)
     n, raw, report = _load(args)
     measures = _measure_list(args)
@@ -363,11 +361,11 @@ def cmd_exact(args) -> int:
             if args.out:
                 witness = _verified_lift(res.formula, rec, n, raw, f"witness for measure {mu}")
     except TrivialInstance as triv:
-        phi = trivial_formula(triv)
+        phi = lift(HornCNF(0), triv.record, raw)
         for mu in measures:
             results[str(mu)] = {"opt": measure_size(phi, mu), "optimal": True}
         if args.out:
-            witness = _verified_lift(phi, None, n, raw, "trivial representation")
+            witness = _verified_lift(HornCNF(0), triv.record, n, raw, "trivial representation")
     if witness is not None:
         _write_file(args.out, write_horn(witness))
     report["results"] = results
@@ -385,8 +383,8 @@ def cmd_bounds(args) -> int:
         report["instance"] = _instance_block(inst)
         report["lower_bounds"] = bounds
     except TrivialInstance as triv:
-        phi = trivial_formula(triv)
-        report["instance"] = {"n": triv.n, "m": 1}
+        phi = lift(HornCNF(0), triv.record, raw)
+        report["instance"] = {"n": n, "m": 1}
         report["lower_bounds"] = {
             str(mu): measure_size(phi, mu) for mu in MEASURES
         }

@@ -232,14 +232,7 @@ class Measure(enum.Enum):
         return self.value
 
 
-MEASURES: tuple[Measure, ...] = (
-    Measure.B,
-    Measure.BA,
-    Measure.TA,
-    Measure.C,
-    Measure.BC,
-    Measure.L,
-)
+MEASURES: tuple[Measure, ...] = tuple(Measure)
 
 
 def measure_size(phi: HornCNF, mu: Measure) -> int:

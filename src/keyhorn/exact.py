@@ -34,6 +34,12 @@ def check_cap(name: str, cap: int) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, not {cap}")
 
 
+def check_timeout(name: str, timeout: Optional[float]) -> None:
+    # no clock passes a nan deadline
+    if timeout is not None and math.isnan(timeout):
+        raise ValueError(f"{name} must be a number of seconds, not nan")
+
+
 @dataclass(frozen=True)
 class OptResult:
     """A certified optimum (or, after a timeout, the best size found so far
@@ -314,8 +320,7 @@ def opt_exact_all(
     A negative cap or a nan ``timeout`` (which no clock passes) is rejected.
     """
     check_cap("max_candidates", max_candidates)
-    if timeout is not None and math.isnan(timeout):
-        raise ValueError("timeout must be a number of seconds, not nan")
+    check_timeout("timeout", timeout)
     inst.require_normalized()
     n_cands = sum(inst.n - len(b) for b in inst.bodies)
     if n_cands > max_candidates:

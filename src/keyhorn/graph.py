@@ -450,8 +450,6 @@ def min_in_arborescence(g: BodyGraph, root: int | None = None) -> InArborescence
         raise ValueError("graph has no nodes")
     if root is not None and not 0 <= root < m:
         raise ValueError(f"root {root} out of range 0..{m - 1}")
-    if m == 1:
-        return InArborescence(0 if root is None else root, {})
     # an in-arborescence toward root is an out-arborescence from root in the
     # reversed graph, whose in-columns are the rows of g; the reversed parent
     # of x is exactly succ(x)
@@ -470,17 +468,12 @@ def mwscs_2approx(g: BodyGraph) -> tuple[frozenset[tuple[int, int]], int]:
     subgraph; the best root (by deduplicated union weight, smallest index on
     ties) is returned.
     """
-    m = g.m
-    if m == 1:
-        return frozenset(), 0
     cols = list(zip(*g.weight))  # in-columns of g; its rows give the in-arborescence
-    best_arcs: frozenset[tuple[int, int]] | None = None
-    best_w = None
-    for r in range(m):
+
+    def union(r: int) -> tuple[frozenset[tuple[int, int]], int]:
         arcs = {(x, s) for x, s in enumerate(_min_arborescence(g.weight, r)) if x != r}
         arcs.update((u, v) for v, u in enumerate(_min_arborescence(cols, r)) if v != r)
-        w = sum(g.weight[u][v] for u, v in arcs)
-        if best_w is None or w < best_w:
-            best_arcs, best_w = frozenset(arcs), w
-    assert best_arcs is not None and best_w is not None
-    return best_arcs, best_w
+        return frozenset(arcs), sum(g.weight[u][v] for u, v in arcs)
+
+    # min keeps the first root of least weight
+    return min(map(union, range(g.m)), key=lambda aw: aw[1])

@@ -21,29 +21,6 @@ from .core import (
 )
 
 
-class TrivialInstance(Exception):
-    """Single-body family: removing the core empties the body.
-
-    Minimization is immediate in this case (the canonical representation is
-    optimal for every measure), so the exception carries the data needed to
-    emit it directly.
-    """
-
-    def __init__(self, n: int, body: VarSet):
-        super().__init__(f"single-body family over {n} variables")
-        self.n = n
-        self.body = body
-
-
-def trivial_formula(exc: TrivialInstance) -> HornCNF:
-    """The unique minimal representation for a single-body family.
-
-    Every variable outside the body needs a clause and only one body is
-    available, so ``body -> complement`` is optimal under all six measures.
-    """
-    return HornCNF(exc.n, [ClauseGroup(exc.body, exc.body.complement())])
-
-
 @dataclass(frozen=True)
 class NormalizationRecord:
     """What ``normalize`` stripped, in original variable ids.
@@ -60,6 +37,19 @@ class NormalizationRecord:
     @property
     def original_n(self) -> int:
         return self.removed_core.n
+
+
+class TrivialInstance(Exception):
+    """Single-body family: removing the core empties the body.
+
+    Normalized, the family is one empty body over no variables, so its one
+    representation is the empty formula; ``lift`` of that under ``record``
+    is ``body -> complement``, which is optimal under all six measures.
+    """
+
+    def __init__(self, record: NormalizationRecord):
+        super().__init__(f"single-body family over {record.original_n} variables")
+        self.record = record
 
 
 def sperner_minimal(bodies: Iterable[VarSet]) -> tuple[VarSet, ...]:
@@ -86,16 +76,14 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
 
     Drops non-minimal bodies, deletes the shared core from every body and
     from the universe, drops variables no body covers, and remaps the rest
-    to 1..n'.  Raises :class:`TrivialInstance` when only one minimal body
-    remains (its core removal would empty it).
+    to 1..n'.  Raises :class:`TrivialInstance`, which carries the record,
+    when only one minimal body remains (its core removal would empty it).
     """
     raw = set(bodies)
     for b in raw:
         if b.n != n:
             raise ValueError(f"body over universe {b.n}, family over {n}")
     minimal = sperner_minimal(raw)
-    if len(minimal) == 1:
-        raise TrivialInstance(n, minimal[0])
 
     core = (1 << n) - 1
     union = 0
@@ -105,6 +93,13 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
     uncovered_mask = ((1 << n) - 1) & ~union
     kept_mask = union & ~core
     var_map = tuple(VarSet._raw(n, kept_mask))
+    rec = NormalizationRecord(
+        removed_core=VarSet._raw(n, core),
+        uncovered=VarSet._raw(n, uncovered_mask),
+        var_map=var_map,
+    )
+    if len(minimal) == 1:
+        raise TrivialInstance(rec)
     pos = {orig: i + 1 for i, orig in enumerate(var_map)}
     n_red = len(var_map)
 
@@ -114,11 +109,6 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
     ]
     inst = KeyHornInstance(n_red, reduced)
     assert inst.is_normalized
-    rec = NormalizationRecord(
-        removed_core=VarSet._raw(n, core),
-        uncovered=VarSet._raw(n, uncovered_mask),
-        var_map=var_map,
-    )
     return inst, rec
 
 

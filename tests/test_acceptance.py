@@ -12,6 +12,7 @@ from fractions import Fraction
 
 
 from keyhorn import (
+    HornCNF,
     KeyHornInstance,
     Measure,
     MEASURES,
@@ -31,7 +32,6 @@ from keyhorn import (
     normalize,
     opt_exact_all,
     price_l_exact,
-    trivial_formula,
     verify_against_family,
     verify_representation,
 )
@@ -233,7 +233,7 @@ def test_criterion_6_closure_measure_property_suite():
         try:
             inst, rec = normalize(n, fam)
         except TrivialInstance as triv:
-            assert verify_against_family(trivial_formula(triv), n, fam)
+            assert verify_against_family(lift(HornCNF(0), triv.record, fam), n, fam)
             continue
         res = minimize(inst, measures[families % len(measures)])
         lifted = lift(res.formula, rec, fam)

@@ -560,7 +560,7 @@ class TestVerificationFailures:
     def test_single_body_witness(self, tmp_path, capsys, monkeypatch, command):
         p = tmp_path / "one.bodies"
         p.write_text("p keyhorn 3 1\n1 2\n")
-        monkeypatch.setattr(cli, "trivial_formula", lambda triv: HornCNF(triv.n))
+        monkeypatch.setattr(cli, "lift", _drop_first_group(cli.lift))
         out = tmp_path / "w.horn"
         self._fails([command, "--in", str(p), "--measure", "C", "--out", str(out)], out, capsys)
 

@@ -463,3 +463,23 @@ class TestMwscs:
             assert is_strongly_connected(m, arcs)
             opt = brute_mwscs(w)
             assert opt <= weight <= 2 * opt
+
+    def test_one_node(self):
+        assert mwscs_2approx(graph_of([[0]])) == (frozenset(), 0)
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValueError):
+            mwscs_2approx(BodyGraph((), ()))
+
+    def test_ties_keep_the_first_root(self):
+        # uniform weights: every root's union weighs 2(m - 1), but the unions differ
+        m = 5
+        w = [[0 if i == j else 1 for j in range(m)] for i in range(m)]
+        unions = []
+        for r in range(m):
+            arcs = set(ref_rooted_in_succ(w, r).items())
+            arcs.update((u, v) for v, u in ref_out_parents(w, r).items())
+            unions.append((frozenset(arcs), len(arcs)))
+        assert {weight for _, weight in unions} == {2 * (m - 1)}
+        assert unions[-1] != unions[0]
+        assert mwscs_2approx(graph_of(w)) == unions[0]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from keyhorn import (
+    ClauseGroup,
     HornCNF,
     Measure,
     TrivialInstance,
@@ -13,7 +14,6 @@ from keyhorn import (
     minimize,
     normalize,
     sperner_minimal,
-    trivial_formula,
     verify_against_family,
 )
 
@@ -73,9 +73,31 @@ class TestNormalize:
     def test_trivial_single_body(self):
         with pytest.raises(TrivialInstance) as exc:
             normalize(3, [VarSet(3, [1, 2])])
-        assert sorted(exc.value.body) == [1, 2]
-        phi = trivial_formula(exc.value)
+        assert sorted(exc.value.record.removed_core) == [1, 2]
+        phi = lift(HornCNF(0), exc.value.record, [VarSet(3, [1, 2])])
         assert [(sorted(g.body), sorted(g.heads)) for g in phi.groups] == [([1, 2], [3])]
+
+    def test_single_body_lifts_the_empty_formula(self):
+        rng = random.Random(21)
+        for _ in range(500):
+            n = rng.randint(2, 8)
+            body = VarSet(n, rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+            rest = sorted(body.complement())
+            # duplicates and strict, non-full supersets of the one minimal body
+            fam = [body] * rng.randint(1, 3) + [
+                body | VarSet(n, rng.sample(rest, rng.randint(1, len(rest) - 1)))
+                for _ in range(rng.randint(0, 3) if len(rest) > 1 else 0)
+            ]
+            rng.shuffle(fam)
+            with pytest.raises(TrivialInstance) as exc:
+                normalize(n, fam)
+            assert str(exc.value) == f"single-body family over {n} variables"
+            rec = exc.value.record
+            assert rec.removed_core == body and rec.original_n == n
+            assert rec.uncovered == body.complement() and rec.var_map == ()
+            phi = lift(HornCNF(0), rec, fam)
+            assert phi == HornCNF(n, [ClauseGroup(body, body.complement())])
+            assert verify_against_family(phi, n, fam)
 
     def test_duplicate_collapse_to_trivial(self):
         with pytest.raises(TrivialInstance):
@@ -126,7 +148,7 @@ class TestLift:
             try:
                 inst, rec = normalize(n, fam)
             except TrivialInstance as triv:
-                phi = trivial_formula(triv)
+                phi = lift(HornCNF(0), triv.record, fam)
                 assert verify_against_family(phi, n, fam)
                 continue
             res = minimize(inst, measures[i % len(measures)])
