@@ -27,6 +27,7 @@ from .core import (
 )
 from .graph import (
     BodyGraph,
+    InArborescence,
     body_graph_c,
     body_graph_l,
     lambda_formula,
@@ -150,6 +151,16 @@ def hamiltonian_formula(inst: KeyHornInstance) -> HornCNF:
     return _verified(HornCNF(inst.n, groups), inst)
 
 
+def _tree_formula(inst: KeyHornInstance, arb: InArborescence, realize) -> HornCNF:
+    """The verified formula of an in-arborescence over the bodies: the
+    groups ``realize(x, s)`` of each tree arc x -> s, plus the root's full
+    clause group."""
+    groups = [group for x, s in arb.succ.items() for group in realize(x, s)]
+    root_body = inst.bodies[arb.root]
+    groups.append(ClauseGroup(root_body, root_body.complement()))
+    return _verified(HornCNF(inst.n, groups), inst)
+
+
 def procedure1(inst: KeyHornInstance) -> HornCNF:
     """Clause-count minimizer: a minimum clause-cost spanning in-arborescence
     of the C body graph routes every body's chaining to a root body, which
@@ -157,12 +168,7 @@ def procedure1(inst: KeyHornInstance) -> HornCNF:
     inst.require_normalized()
     arb = min_in_arborescence(body_graph_c(inst))
     bodies = inst.bodies
-    groups = [
-        ClauseGroup(bodies[x], bodies[s] - bodies[x]) for x, s in arb.succ.items()
-    ]
-    root_body = bodies[arb.root]
-    groups.append(ClauseGroup(root_body, root_body.complement()))
-    return _verified(HornCNF(inst.n, groups), inst)
+    return _tree_formula(inst, arb, lambda x, s: [ClauseGroup(bodies[x], bodies[s] - bodies[x])])
 
 
 def _chain_groups(inst: KeyHornInstance, g: BodyGraph):
@@ -205,16 +211,8 @@ def procedure2(inst: KeyHornInstance) -> HornCNF:
     """
     inst.require_normalized()
     g = body_graph_l(inst)
-    root = 0  # canonical body order puts a smallest body first
-    arb = min_in_arborescence(g, root=root)
-    bodies = inst.bodies
-    chain = _chain_groups(inst, g)
-    groups: list[ClauseGroup] = []
-    for x, s in arb.succ.items():
-        groups.extend(chain(x, s))
-    root_body = bodies[root]
-    groups.append(ClauseGroup(root_body, root_body.complement()))
-    return _verified(HornCNF(inst.n, groups), inst)
+    # canonical body order puts a smallest body first
+    return _tree_formula(inst, min_in_arborescence(g, root=0), _chain_groups(inst, g))
 
 
 # the constructions are looked up by name at call time, so a rebinding of

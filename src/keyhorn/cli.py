@@ -283,15 +283,15 @@ def cmd_minimize(args) -> int:
             per_measure = {mu: table.score(args.strategy, mu) for mu in measures}
         timings["minimize_ms"] = (time.perf_counter() - t1) * 1000
         t1 = time.perf_counter()
-        lifted_cache: dict[int, HornCNF] = {}
+        # keyed by value: candidates that build the same formula lift it once
+        lifted_cache: dict[HornCNF, HornCNF] = {}
         for mu in measures:
             res = per_measure[mu]
-            key = id(res.formula)
-            if key not in lifted_cache:
-                lifted_cache[key] = _verified_lift(
+            if res.formula not in lifted_cache:
+                lifted_cache[res.formula] = _verified_lift(
                     res.formula, rec, n, raw, f"lifted formula for measure {mu}"
                 )
-            lifted = lifted_cache[key]
+            lifted = lifted_cache[res.formula]
             results_block[str(mu)] = _result_block(res, measure_size(lifted, mu))
             if args.out:
                 out_formula = lifted

@@ -136,7 +136,8 @@ class _ClauseSearch:
     this is the feasibility check, so no feasible leaf is dropped.  Each
     choice that survives the cost cut is one tick, tested or not.  The choice
     is kept as one head mask per body, which the closure and the witness
-    both read.
+    both read.  What depends only on the instance is built once, and each
+    ``run`` orders the subsets under its own weight vector.
 
     Each node is first cut on the bodies' head deficits.  The bodies are a
     Sperner family, so the closure of B_i first fires only body i's own
@@ -152,33 +153,24 @@ class _ClauseSearch:
     ``best`` and ``best_heads``, are those of the search without it.
     """
 
-    def __init__(self, inst: KeyHornInstance, weights: list[int], deadline: Optional[float]):
+    def __init__(self, inst: KeyHornInstance, deadline: Optional[float]):
         self.n = inst.n
-        self.body_masks = [b.mask for b in inst.bodies]
-        self.heads_of = [0] * inst.m
+        masks = [b.mask for b in inst.bodies]
         self.deadline = deadline
-        self.ticks = 0
-        # per head: nonempty body-index subsets sorted by (weight, indices),
-        # each with its mask of body indices
-        self.head_options: list[list[tuple[int, tuple[int, ...], int]]] = []
+        # the Hamiltonian cycle in body order as a leaf: body i's heads are B_{i+1} minus B_i
+        self.cycle = [nxt & ~b for b, nxt in zip(masks, masks[1:] + masks[:1])]
+        # per head: the nonempty subsets of the bodies without it, with their index masks
+        self.subsets: list[list[tuple[tuple[int, ...], int]]] = []
         for v in range(1, self.n + 1):
             avail = [i for i in range(inst.m) if v not in inst.bodies[i]]
             assert avail, "normalized instances leave every variable a choice"
-            combos = [c for r in range(1, len(avail) + 1) for c in combinations(avail, r)]
-            options = sorted((sum(weights[i] for i in c), c) for c in combos)
-            self.head_options.append([(w, c, sum(1 << i for i in c)) for w, c in options])
-        self.suffix_min = [0] * (self.n + 1)
-        for v in range(self.n - 1, -1, -1):
-            self.suffix_min[v] = self.suffix_min[v + 1] + self.head_options[v][0][0]
-        # per body: its weight and the masks B_j \ B_i of the other bodies,
-        # one of which its own heads must cover
-        self.deficits = [
-            (w, [b & ~bi for b in self.body_masks if b != bi])
-            for w, bi in zip(weights, self.body_masks)
-        ]
+            combos = (c for r in range(1, len(avail) + 1) for c in combinations(avail, r))
+            self.subsets.append([(c, sum(1 << i for i in c)) for c in combos])
+        # per body: the masks B_j \ B_i of the others, one of which its heads must cover
+        self.diffs = [[b & ~bi for b in masks if b != bi] for bi in masks]
         # per head v: (body mask, body index, body bit) of the bodies without v
         self.without = [
-            [(b, i, 1 << i) for i, b in enumerate(self.body_masks) if not b >> v & 1]
+            [(b, i, 1 << i) for i, b in enumerate(masks) if not b >> v & 1]
             for v in range(self.n)
         ]
 
@@ -190,7 +182,7 @@ class _ClauseSearch:
         lacking bits all lie at v or above."""
         low = (1 << v) - 1
         bound = cost
-        for (w, diffs), h in zip(self.deficits, self.heads_of):
+        for w, diffs, h in zip(self.weights, self.diffs, self.heads_of):
             need = -1
             for d in diffs:
                 r = d & ~h
@@ -242,9 +234,20 @@ class _ClauseSearch:
                 raise _Timeout
         self.ticks += 1
 
-    def run(self, incumbent: int) -> None:
-        """Search below ``incumbent``; ``best`` and ``best_heads`` hold the
-        cheapest leaf found, also after a ``_Timeout``."""
+    def run(self, weights: list[int], incumbent: int) -> None:
+        """Search under ``weights`` below ``incumbent``; ``best`` and
+        ``best_heads`` hold the cheapest leaf found, also after a
+        ``_Timeout``, and ``ticks`` counts this run's nodes."""
+        # per head: its subsets sorted by (weight, indices)
+        self.head_options = [
+            sorted((sum(weights[i] for i in c), c, mask) for c, mask in subs)
+            for subs in self.subsets
+        ]
+        mins = [options[0][0] for options in self.head_options]
+        self.suffix_min = [sum(mins[v:]) for v in range(self.n + 1)]
+        self.weights = weights
+        self.heads_of = [0] * len(weights)
+        self.ticks = 0
         self.best = incumbent
         self.best_heads: Optional[list[int]] = None
         self._tick()
@@ -280,22 +283,18 @@ class _ClauseSearch:
                     heads_of[i] ^= bit
 
 
-def _search_weighted(
-    inst: KeyHornInstance, weights: list[int], deadline: Optional[float]
-) -> OptResult:
-    """Clause search under ``weights`` below the Hamiltonian cycle in body
-    order, written as the search's own leaf: body i's heads are B_{i+1}
-    minus B_i (the last body's, B_0 minus it).  The cycle is feasible, since
-    each head v has a body B_{i+1} with v after a body B_i without it, and
-    every cut is admissible, so a finished search returns the first cheapest
-    leaf in its order, as from any incumbent above the optimum.  After a
-    timeout the result is the best leaf found, or the cycle if none was."""
-    masks = [b.mask for b in inst.bodies]
-    heads = [nxt & ~b for b, nxt in zip(masks, masks[1:] + masks[:1])]
-    search = _ClauseSearch(inst, weights, deadline)
+def _search_weighted(inst: KeyHornInstance, search: _ClauseSearch, weights: list[int]) -> OptResult:
+    """The instance's clause search run under ``weights`` below its
+    Hamiltonian-cycle leaf (the last body's heads are B_0 minus it).  The
+    cycle is feasible, since each head v has a body B_{i+1} with v after a
+    body B_i without it, and every cut is admissible, so a finished search
+    returns the first cheapest leaf in its order, as from any incumbent
+    above the optimum.  After a timeout the result is the best leaf found,
+    or the cycle if none was."""
+    heads = search.cycle
     optimal = True
     try:
-        search.run(sum(w * h.bit_count() for w, h in zip(weights, heads)) + 1)
+        search.run(weights, sum(w * h.bit_count() for w, h in zip(weights, heads)) + 1)
     except _Timeout:
         optimal = False
     if search.best_heads is not None:
@@ -315,8 +314,8 @@ def opt_exact_all(
 
     Feasible formulas all use every minimal body, so body count and body
     area are fixed; clause count, bodies+clauses and total area share one
-    unit-weight search, and literal count is the same search with weight
-    |body| + 1 per clause.  Only the searches ``measures`` need are run.
+    unit-weight run, and literal count is a run of the same search with
+    weight |body| + 1 per clause.  Only the runs ``measures`` need are made.
     A negative cap or a nan ``timeout`` (which no clock passes) is rejected.
     """
     check_cap("max_candidates", max_candidates)
@@ -327,19 +326,18 @@ def opt_exact_all(
         raise SearchLimitError(
             f"{n_cands} candidate clauses exceed the cap of {max_candidates}"
         )
-    deadline = None if timeout is None else time.monotonic() + timeout
+    search = _ClauseSearch(inst, None if timeout is None else time.monotonic() + timeout)
     out: dict[Measure, OptResult] = {}
     if any(mu is not Measure.L for mu in measures):
         # the result, a search leaf or the cycle, gives every body one group,
         # so its B and BA are the fixed m and body area, and its C is the
-        # unit search's size
-        unit = _search_weighted(inst, [1] * inst.m, deadline)
+        # unit run's size
+        unit = _search_weighted(inst, search, [1] * inst.m)
         out = {
             mu: replace(unit, size=measure_size(unit.formula, mu))
             for mu in measures
             if mu is not Measure.L
         }
     if Measure.L in measures:
-        weights = [len(b) + 1 for b in inst.bodies]
-        out[Measure.L] = _search_weighted(inst, weights, deadline)
+        out[Measure.L] = _search_weighted(inst, search, [len(b) + 1 for b in inst.bodies])
     return out

@@ -628,22 +628,14 @@ class RefClauseSearch:
     both read.
     """
 
-    def __init__(self, inst: KeyHornInstance, weights: list[int], deadline: Optional[float]):
+    def __init__(self, inst: KeyHornInstance, deadline: Optional[float]):
         self.n = inst.n
-        self.body_masks = [b.mask for b in inst.bodies]
-        self.heads_of = [0] * inst.m
+        self.bodies = inst.bodies
+        self.body_masks = masks = [b.mask for b in inst.bodies]
         self.deadline = deadline
-        self.ticks = 0
-        # per head: nonempty body-index subsets sorted by (weight, indices)
-        self.head_options: list[list[tuple[int, tuple[int, ...]]]] = []
-        for v in range(1, self.n + 1):
-            avail = [i for i in range(inst.m) if v not in inst.bodies[i]]
-            assert avail, "normalized instances leave every variable a choice"
-            combos = [c for r in range(1, len(avail) + 1) for c in itertools.combinations(avail, r)]
-            self.head_options.append(sorted((sum(weights[i] for i in c), c) for c in combos))
-        self.suffix_min = [0] * (self.n + 1)
-        for v in range(self.n - 1, -1, -1):
-            self.suffix_min[v] = self.suffix_min[v + 1] + self.head_options[v][0][0]
+        # the Hamiltonian cycle in body order, which the exact oracle reads
+        # as its first incumbent
+        self.cycle = [nxt & ~b for b, nxt in zip(masks, masks[1:] + masks[:1])]
 
     def _feasible(self) -> bool:
         heads_of = self.heads_of
@@ -663,9 +655,22 @@ class RefClauseSearch:
                 return False
         return True
 
-    def run(self, incumbent: int) -> None:
-        """Search below ``incumbent``; ``best`` and ``best_heads`` hold the
-        cheapest leaf found, also after a ``_Timeout``."""
+    def run(self, weights: list[int], incumbent: int) -> None:
+        """Search under ``weights`` below ``incumbent``; ``best`` and
+        ``best_heads`` hold the cheapest leaf found, also after a
+        ``_Timeout``, and ``ticks`` counts this run's nodes."""
+        self.heads_of = [0] * len(self.bodies)
+        self.ticks = 0
+        # per head: nonempty body-index subsets sorted by (weight, indices)
+        self.head_options: list[list[tuple[int, tuple[int, ...]]]] = []
+        for v in range(1, self.n + 1):
+            avail = [i for i in range(len(self.bodies)) if v not in self.bodies[i]]
+            assert avail, "normalized instances leave every variable a choice"
+            combos = [c for r in range(1, len(avail) + 1) for c in itertools.combinations(avail, r)]
+            self.head_options.append(sorted((sum(weights[i] for i in c), c) for c in combos))
+        self.suffix_min = [0] * (self.n + 1)
+        for v in range(self.n - 1, -1, -1):
+            self.suffix_min[v] = self.suffix_min[v + 1] + self.head_options[v][0][0]
         self.best = incumbent
         self.best_heads: Optional[list[int]] = None
         self._dfs(0, 0)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli, exact, gen_projective
+from keyhorn import HornCNF, VarSet, VerifyResult, approx, cli, exact, gen_projective, gen_random
 from keyhorn.cli import (
     ParseError,
     main,
@@ -288,6 +288,21 @@ class TestMinimizeCommand:
         calls = {name: counting(monkeypatch, approx, name) for name in ("procedure1", "procedure2")}
         assert main(["minimize", "--in", str(p), "--measure", measure]) == 0
         assert [name for name, seen in calls.items() if seen] == built
+
+    def test_each_distinct_formula_is_lifted_once(self, tmp_path, capsys, monkeypatch):
+        # on this family Procedure 2 builds Procedure 1's formula, so C, BC
+        # and L share one lift and the cycle (B, BA, TA) takes the other
+        inst = gen_random(60, 20, 8, 1)
+        assert approx.procedure1(inst) == approx.procedure2(inst)
+        p = tmp_path / "r.bodies"
+        p.write_text(write_bodies(inst.n, inst.bodies))
+        lifts = counting(monkeypatch, cli, "lift")
+        assert main(["minimize", "--in", str(p), "--measure", "all"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert {blk["strategy"] for blk in results.values()} == {
+            "exact", "hamiltonian", "procedure1", "procedure2"
+        }
+        assert len(lifts) == 2
 
 
 class TestOtherCommands:

@@ -466,6 +466,12 @@ class TestPackageExports:
         }
         assert sorted(keyhorn.__all__) == sorted(public)
 
+    def test_readme_library_block_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        library = readme.split("\n## Library\n", 1)[1]
+        code = library.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+
     def test_every_export_is_used_by_the_package_or_documented(self):
         # a name counts as used when some module other than __init__ refers
         # to it in code (a Name or an Attribute, so docstrings do not count),

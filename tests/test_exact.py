@@ -309,13 +309,24 @@ class TestOptExact:
         calls = []
         real = exact._search_weighted
 
-        def counted(inst, weights, deadline):
+        def counted(inst, search, weights):
             calls.append(Measure.C if weights == [1] * inst.m else Measure.L)
-            return real(inst, weights, deadline)
+            return real(inst, search, weights)
 
         monkeypatch.setattr(exact, "_search_weighted", counted)
         run(TRIANGLE)
         assert calls == searches
+
+    def test_builds_one_search_and_enumerates_each_subset_once(self, monkeypatch):
+        # both weight vectors run on one search, which calls ``combinations``
+        # once per head and subset size
+        for inst in random_instances(20, 4400, n_range=(4, 7), m_range=(3, 5)):
+            searches = counting(monkeypatch, exact, "_ClauseSearch")
+            enumerations = counting(monkeypatch, exact, "combinations")
+            opt_exact_all(inst)
+            assert len(searches) == 1
+            assert len(enumerations) == sum(inst.n - len(b) for b in inst.bodies)
+            monkeypatch.undo()
 
     def test_builds_no_approximation(self, monkeypatch):
         # the searches start from their own cycle leaf, so no candidate and
@@ -334,11 +345,11 @@ class TestOptExact:
         for inst in random_instances(300, 4600, n_range=(3, 7), m_range=(2, 5)):
             res = opt_exact_all(inst)
             table = approx.CandidateTable(inst)
+            search = exact._ClauseSearch(inst, None)
             unit, lit = [1] * inst.m, [len(b) + 1 for b in inst.bodies]
             for weights, mu in ((unit, Measure.C), (lit, Measure.L)):
                 for incumbent in (table.best(mu).size + 1, sum(weights) * inst.n + 1):
-                    search = exact._ClauseSearch(inst, weights, None)
-                    search.run(incumbent)
+                    search.run(weights, incumbent)
                     assert res[mu].optimal
                     assert res[mu].size == search.best
                     assert res[mu].formula == heads_formula(inst, search.best_heads)
@@ -354,6 +365,8 @@ class TestClauseSearchMatchesReference:
         larger = random_instances(100, 6200, n_range=(5, 7), m_range=(3, 5))
         pruned = 0
         for pos, inst in enumerate(small + larger):
+            new = exact._ClauseSearch(inst, None)
+            ref = RefClauseSearch(inst, None)
             unit, lit = [1] * inst.m, [len(b) + 1 for b in inst.bodies]
             for weights, mu in ((unit, Measure.C), (lit, Measure.L)):
                 # the incumbent _search_weighted starts from and, on small
@@ -363,14 +376,40 @@ class TestClauseSearchMatchesReference:
                 if pos < len(small):
                     incumbents.append(sum(weights) * inst.n + 1)
                 for incumbent in incumbents:
-                    new = exact._ClauseSearch(inst, weights, None)
-                    ref = RefClauseSearch(inst, weights, None)
-                    new.run(incumbent)
-                    ref.run(incumbent)
+                    new.run(weights, incumbent)
+                    ref.run(weights, incumbent)
                     assert (new.best, new.best_heads) == (ref.best, ref.best_heads)
                     assert new.ticks <= ref.ticks
                     pruned += new.ticks < ref.ticks
         assert pruned > 400
+
+    def test_runs_on_one_search_match_fresh_searches(self):
+        # a run leaves nothing behind that the next run reads: unit weights
+        # and then literal weights on one search give what two searches give
+        for inst in random_instances(100, 6150, n_range=(4, 7), m_range=(3, 5)):
+            shared = exact._ClauseSearch(inst, None)
+            unit, lit = [1] * inst.m, [len(b) + 1 for b in inst.bodies]
+            for weights, mu in ((unit, Measure.C), (lit, Measure.L)):
+                fresh = exact._ClauseSearch(inst, None)
+                fresh.run(weights, cycle_incumbent(inst, mu))
+                shared.run(weights, cycle_incumbent(inst, mu))
+                got = (shared.best, shared.best_heads, shared.ticks)
+                assert got == (fresh.best, fresh.best_heads, fresh.ticks)
+
+    def test_options_come_in_reference_order(self):
+        # a tie between leaves of equal cost goes to the first leaf in option
+        # order, so the witness rests on it: (weight, indices), as the
+        # reference sorts them, with each option's mask its index bits
+        rng = random.Random(6160)
+        for inst in random_instances(100, 6170, n_range=(4, 7), m_range=(3, 6)):
+            new, ref = exact._ClauseSearch(inst, None), RefClauseSearch(inst, None)
+            unit, lit = [1] * inst.m, [len(b) + 1 for b in inst.bodies]
+            for weights in (unit, lit, [rng.randint(1, 3) for _ in range(inst.m)]):
+                new.run(weights, 0)  # below incumbent 0 a run only orders the options
+                ref.run(weights, 0)
+                for opts, ref_opts in zip(new.head_options, ref.head_options):
+                    assert [(w, c) for w, c, _m in opts] == ref_opts
+                    assert all(m == sum(1 << i for i in c) for _w, c, m in opts)
 
     def test_same_results_as_leaf_only_search(self, monkeypatch):
         instances = random_instances(40, 6300, n_range=(4, 7), m_range=(3, 5))
@@ -392,9 +431,9 @@ class TestClauseSearchMatchesReference:
         # a cut only drops nodes, so it may never exceed them
         inst, _rec = normalize(*parse_bodies(text))
         counts = []
+        search = exact._ClauseSearch(inst, None)
         for weights, mu in (([1] * inst.m, Measure.C), ([len(b) + 1 for b in inst.bodies], Measure.L)):
-            search = exact._ClauseSearch(inst, weights, None)
-            search.run(cycle_incumbent(inst, mu))
+            search.run(weights, cycle_incumbent(inst, mu))
             counts.append(search.ticks)
         assert tuple(counts) == ticks
         assert all(c <= u for c, u in zip(counts, uncut))
@@ -407,7 +446,8 @@ class TestClauseSearchMatchesReference:
         outcomes = set()
         nodes = 0
         for inst in random_instances(150, 6500, n_range=(3, 5), m_range=(2, 4)):
-            search = exact._ClauseSearch(inst, [1] * inst.m, None)
+            search = exact._ClauseSearch(inst, None)
+            search.run([1] * inst.m, 0)  # below incumbent 0 a run only orders the options
             opts = search.head_options
 
             def feasible(heads, u):
@@ -442,7 +482,8 @@ class TestClauseSearchMatchesReference:
         nodes = tight = no_j_nodes = 0
         for inst in random_instances(150, 6700, n_range=(3, 5), m_range=(2, 4)):
             weights = rng.choice(([1] * inst.m, [len(b) + 1 for b in inst.bodies]))
-            search = exact._ClauseSearch(inst, weights, None)
+            search = exact._ClauseSearch(inst, None)
+            search.run(weights, 0)  # below incumbent 0 a run only orders the options
             opts = search.head_options
 
             def cheapest(heads, u, cost):
