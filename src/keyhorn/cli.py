@@ -246,12 +246,12 @@ def _measure_list(args) -> list[Measure]:
 
 
 def _verified_lift(
-    formula: HornCNF, rec: NormalizationRecord, n: int, raw: list[VarSet], what: str
+    formula: HornCNF, rec: NormalizationRecord, raw: list[VarSet], what: str
 ) -> HornCNF:
     """``formula`` lifted back to the input's variables, verified against
     the input family."""
-    lifted = lift(formula, rec, raw)
-    if not verify_against_family(lifted, n, raw):
+    lifted = lift(formula, rec)
+    if not verify_against_family(lifted, rec.original_n, raw):
         raise VerificationError(f"{what} failed verification")
     return lifted
 
@@ -289,7 +289,7 @@ def cmd_minimize(args) -> int:
             res = per_measure[mu]
             if res.formula not in lifted_cache:
                 lifted_cache[res.formula] = _verified_lift(
-                    res.formula, rec, n, raw, f"lifted formula for measure {mu}"
+                    res.formula, rec, raw, f"lifted formula for measure {mu}"
                 )
             lifted = lifted_cache[res.formula]
             results_block[str(mu)] = _result_block(res, measure_size(lifted, mu))
@@ -297,7 +297,7 @@ def cmd_minimize(args) -> int:
                 out_formula = lifted
         timings["lift_verify_ms"] = (time.perf_counter() - t1) * 1000
     except TrivialInstance as triv:
-        phi = _verified_lift(HornCNF(0), triv.record, n, raw, "trivial representation")
+        phi = _verified_lift(HornCNF(0), triv.record, raw, "trivial representation")
         report["instance"] = _instance_block(KeyHornInstance(n, [triv.record.removed_core]))
         for mu in measures:
             size = measure_size(phi, mu)
@@ -359,13 +359,13 @@ def cmd_exact(args) -> int:
             res = all_opt[mu]
             results[str(mu)] = {"opt": res.size, "optimal": res.optimal}
             if args.out:
-                witness = _verified_lift(res.formula, rec, n, raw, f"witness for measure {mu}")
+                witness = _verified_lift(res.formula, rec, raw, f"witness for measure {mu}")
     except TrivialInstance as triv:
-        phi = lift(HornCNF(0), triv.record, raw)
+        phi = _verified_lift(HornCNF(0), triv.record, raw, "trivial representation")
         for mu in measures:
             results[str(mu)] = {"opt": measure_size(phi, mu), "optimal": True}
         if args.out:
-            witness = _verified_lift(HornCNF(0), triv.record, n, raw, "trivial representation")
+            witness = phi
     if witness is not None:
         _write_file(args.out, write_horn(witness))
     report["results"] = results
@@ -383,7 +383,7 @@ def cmd_bounds(args) -> int:
         report["instance"] = _instance_block(inst)
         report["lower_bounds"] = bounds
     except TrivialInstance as triv:
-        phi = lift(HornCNF(0), triv.record, raw)
+        phi = lift(HornCNF(0), triv.record)
         report["instance"] = {"n": n, "m": 1}
         report["lower_bounds"] = {
             str(mu): measure_size(phi, mu) for mu in MEASURES
@@ -635,21 +635,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print(f"keyhorn: verification failed: {exc}", file=sys.stderr)
         return 3
-    except TrivialInstance as exc:
-        print(
-            f"keyhorn: error: {exc}; 'gen' emits normalized families, and a "
-            "single-body family normalizes to no variables",
-            file=sys.stderr,
-        )
-        return 2
     except (ValueError, OSError) as exc:
         # ParseError, GenerationError, SearchLimitError and
         # NoBodyInSourceError are all ValueErrors
         print(f"keyhorn: error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as exc:
-        # last resort: no known input gets here, and none may end in a traceback
-        what = "out of memory" if isinstance(exc, MemoryError) else "recursion limit exceeded"
+    except (RecursionError, MemoryError, OverflowError) as exc:
+        # last resort, as no input may end in a traceback: a header n beyond
+        # sys.maxsize overflows a shift or a range
+        causes = {MemoryError: "out of memory", OverflowError: "integer overflow"}
+        what = causes.get(type(exc), "recursion limit exceeded")
         print(f"keyhorn: error: {what}; the input is too large for this command", file=sys.stderr)
         return 2
 

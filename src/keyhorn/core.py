@@ -151,6 +151,20 @@ def canonical_sorted(sets: Iterable[VarSet]) -> tuple[VarSet, ...]:
     return tuple(sorted(sets, key=cmp_to_key(VarSet.compare)))
 
 
+def canonical_family(bodies: Iterable[VarSet]) -> tuple[VarSet, ...]:
+    """A body family deduplicated and in canonical order, checked to be
+    nonempty and to hold neither an empty nor a full body."""
+    fam = canonical_sorted(set(bodies))
+    if not fam:
+        raise ValueError("body family must be nonempty")
+    for b in fam:
+        if not b:
+            raise ValueError("bodies must be nonempty")
+        if b.is_full():
+            raise ValueError("no body may equal the full variable set")
+    return fam
+
+
 @dataclass(frozen=True)
 class ClauseGroup:
     """All clauses sharing one body: ``body -> v`` for each v in ``heads``.
@@ -396,17 +410,10 @@ class KeyHornInstance:
     __slots__ = ("n", "bodies", "m", "k", "delta", "_graph_c")
 
     def __init__(self, n: int, bodies: Iterable[VarSet]):
-        fam = canonical_sorted(set(bodies))
-        if not fam:
-            raise ValueError("body family must be nonempty")
-        for b in fam:
-            if b.n != n:
-                raise UniverseMismatchError(f"body over universe {b.n}, instance over {n}")
-            if not b:
-                raise ValueError("bodies must be nonempty")
-            if b.is_full():
-                raise ValueError("no body may equal the full variable set")
+        fam = canonical_family(bodies)
         for i, a in enumerate(fam):
+            if a.n != n:
+                raise UniverseMismatchError(f"body over universe {a.n}, instance over {n}")
             for b in fam[i + 1 :]:
                 # canonical order sorts by size, so only a subset-of-b is possible
                 if a.mask & b.mask == a.mask:

@@ -17,11 +17,22 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import ClauseGroup, HornCNF, KeyHornInstance, VarSet
-from .reduce import normalize
+from .reduce import TrivialInstance, normalize
 
 
 class GenerationError(ValueError):
     """Requested parameters cannot produce a valid instance."""
+
+
+def _normalized(n: int, bodies: list[VarSet]) -> KeyHornInstance:
+    """``normalize``'s instance; a single-body family is a :class:`GenerationError`."""
+    try:
+        return normalize(n, bodies)[0]
+    except TrivialInstance as exc:
+        raise GenerationError(
+            f"{exc}; 'gen' emits normalized families, and a single-body family "
+            "normalizes to no variables"
+        ) from exc
 
 
 def gen_random(n: int, m: int, k: int, seed: int) -> KeyHornInstance:
@@ -30,7 +41,7 @@ def gen_random(n: int, m: int, k: int, seed: int) -> KeyHornInstance:
     yields the same instance.
 
     Raises :class:`GenerationError` when sampling cannot place m
-    incomparable bodies, and :class:`TrivialInstance` when m == 1.
+    incomparable bodies, or when m == 1.
     """
     if n < 2 or m < 1 or k < 1:
         raise GenerationError(f"degenerate parameters n={n} m={m} k={k}")
@@ -55,8 +66,7 @@ def gen_random(n: int, m: int, k: int, seed: int) -> KeyHornInstance:
             failures += 1
         else:
             masks.append(body)
-    inst, _rec = normalize(n, [VarSet._raw(n, b) for b in masks])
-    return inst
+    return _normalized(n, [VarSet._raw(n, b) for b in masks])
 
 
 def gen_hydra(edges: Iterable[tuple[int, int]], n: int) -> KeyHornInstance:
@@ -71,8 +81,7 @@ def gen_hydra(edges: Iterable[tuple[int, int]], n: int) -> KeyHornInstance:
         bodies.append(body)
     if not bodies:
         raise GenerationError("edge set must be nonempty")
-    inst, _rec = normalize(n, bodies)
-    return inst
+    return _normalized(n, bodies)
 
 
 # ---------------------------------------------------------------------------

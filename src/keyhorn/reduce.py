@@ -9,7 +9,6 @@ reduced instance back to the original variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterable
 
 from .core import (
@@ -17,7 +16,7 @@ from .core import (
     HornCNF,
     KeyHornInstance,
     VarSet,
-    canonical_sorted,
+    canonical_family,
 )
 
 
@@ -27,12 +26,14 @@ class NormalizationRecord:
 
     ``var_map[i-1]`` is the original id of reduced variable ``i``;
     ``removed_core`` lists variables shared by all minimal bodies and
-    ``uncovered`` those missing from their union.
+    ``uncovered`` those missing from their union.  ``anchor`` is the
+    canonically least minimal body, which ``lift`` hangs ``uncovered`` off.
     """
 
     removed_core: VarSet
     uncovered: VarSet
     var_map: tuple[int, ...]
+    anchor: VarSet
 
     @property
     def original_n(self) -> int:
@@ -55,18 +56,10 @@ class TrivialInstance(Exception):
 def sperner_minimal(bodies: Iterable[VarSet]) -> tuple[VarSet, ...]:
     """The inclusion-minimal members of a body family, deduplicated and in
     canonical order.  Minimization never benefits from the other bodies."""
-    fam = canonical_sorted(set(bodies))
-    if not fam:
-        raise ValueError("body family must be nonempty")
-    for b in fam:
-        if not b:
-            raise ValueError("bodies must be nonempty")
-        if b.is_full():
-            raise ValueError("no body may equal the full variable set")
     keep = []
-    for b in fam:
-        # canonical order is by size, so any strict subset precedes b
-        if not any(o.mask & b.mask == o.mask and o.mask != b.mask for o in keep):
+    for b in canonical_family(bodies):
+        # deduplicated and sorted by size, so a kept subset of b is a strict one
+        if not any(o.mask & b.mask == o.mask for o in keep):
             keep.append(b)
     return tuple(keep)
 
@@ -97,6 +90,7 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
         removed_core=VarSet._raw(n, core),
         uncovered=VarSet._raw(n, uncovered_mask),
         var_map=var_map,
+        anchor=minimal[0],
     )
     if len(minimal) == 1:
         raise TrivialInstance(rec)
@@ -112,17 +106,13 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
     return inst, rec
 
 
-def lift(
-    phi_reduced: HornCNF,
-    rec: NormalizationRecord,
-    original_bodies: Iterable[VarSet],
-) -> HornCNF:
+def lift(phi_reduced: HornCNF, rec: NormalizationRecord) -> HornCNF:
     """Translate a formula on the reduced instance back to original ids.
 
     Core variables rejoin every body; the uncovered variables become the
-    heads of one group whose body is the smallest original minimal body
-    (lexicographic tie-break), which minimizes the area and literal cost of
-    the addition.
+    heads of one group whose body is the record's ``anchor``, the smallest
+    minimal body (lexicographic tie-break), which minimizes the area and
+    literal cost of the addition.
     """
     if phi_reduced.n != len(rec.var_map):
         raise ValueError(
@@ -139,7 +129,5 @@ def lift(
         ClauseGroup(unmap(g.body) | core, unmap(g.heads)) for g in phi_reduced.groups
     ]
     if rec.uncovered:
-        # the canonical minimum has no strict subset, so it is a minimal body
-        bstar = min(original_bodies, key=cmp_to_key(VarSet.compare))
-        groups.append(ClauseGroup(bstar, rec.uncovered))
+        groups.append(ClauseGroup(rec.anchor, rec.uncovered))
     return HornCNF(n, groups)

@@ -12,6 +12,7 @@ import heapq
 import itertools
 import random
 import time
+from functools import cmp_to_key
 from typing import Iterable, Optional
 
 from keyhorn import (
@@ -20,8 +21,8 @@ from keyhorn import (
     KeyHornInstance,
     LambdaFormula,
     NoBodyInSourceError,
+    NormalizationRecord,
     ProjectiveInstance,
-    TrivialInstance,
     UniverseMismatchError,
     VarSet,
     VerifyResult,
@@ -76,6 +77,39 @@ def random_raw_family(rng: random.Random, max_n: int = 8) -> tuple[int, list[Var
     return n, fam
 
 
+def ref_lift(
+    phi_reduced: HornCNF,
+    rec: NormalizationRecord,
+    original_bodies: Iterable[VarSet],
+) -> HornCNF:
+    """Translate a formula on the reduced instance back to original ids.
+
+    Core variables rejoin every body; the uncovered variables become the
+    heads of one group whose body is the smallest original minimal body
+    (lexicographic tie-break), found by scanning the raw family rather than
+    read off the record.
+    """
+    if phi_reduced.n != len(rec.var_map):
+        raise ValueError(
+            f"formula universe {phi_reduced.n} does not match the record's "
+            f"{len(rec.var_map)} reduced variables"
+        )
+    n = rec.original_n
+    core = rec.removed_core
+
+    def unmap(s: VarSet) -> VarSet:
+        return VarSet(n, (rec.var_map[v - 1] for v in s))
+
+    groups = [
+        ClauseGroup(unmap(g.body) | core, unmap(g.heads)) for g in phi_reduced.groups
+    ]
+    if rec.uncovered:
+        # the canonical minimum has no strict subset, so it is a minimal body
+        bstar = min(original_bodies, key=cmp_to_key(VarSet.compare))
+        groups.append(ClauseGroup(bstar, rec.uncovered))
+    return HornCNF(n, groups)
+
+
 def random_cnf(rng: random.Random, max_n: int = 7) -> HornCNF:
     n = rng.randint(2, max_n)
     groups = []
@@ -110,7 +144,7 @@ def random_instances(
         k = rng.randint(*k_range)
         try:
             out.append(gen_random(n, m, k, seed))
-        except (GenerationError, TrivialInstance):
+        except GenerationError:
             continue
     return out
 

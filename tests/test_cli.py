@@ -44,6 +44,19 @@ def tri_file(tmp_path):
     return str(p)
 
 
+# a universe beyond sys.maxsize: its full mask overflows a shift, its range
+# a C ssize_t
+HUGE_N = "99999999999999999999"
+
+
+@pytest.fixture
+def huge_files(tmp_path):
+    bodies, horn = tmp_path / "huge.bodies", tmp_path / "huge.horn"
+    bodies.write_text(f"p keyhorn {HUGE_N} 2\n1\n2\n")
+    horn.write_text(f"p horn {HUGE_N} 1\n1 -> 2\n")
+    return {"bodies": str(bodies), "horn": str(horn)}
+
+
 class TestParseBodies:
     def test_grammar(self):
         n, bodies = parse_bodies(TRIANGLE_TEXT)
@@ -332,6 +345,15 @@ class TestOtherCommands:
         assert main(["exact", "--in", tri_file, "--measure", measure]) == 0
         assert len(calls) == searches
 
+    def test_exact_single_body_lifts_once(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "one.bodies"
+        p.write_text("p keyhorn 3 1\n1 2\n")
+        out = tmp_path / "w.horn"
+        lifts = counting(monkeypatch, cli, "lift")
+        assert main(["exact", "--in", str(p), "--measure", "C", "--out", str(out)]) == 0
+        assert len(lifts) == 1
+        assert out.read_text() == "p horn 3 1\n1 2 -> 3\n"
+
     def test_exact_timeout_reports_the_seed_unproven(self, tmp_path, capsys):
         p = tmp_path / "seed9.bodies"
         p.write_text(SEED9_TEXT)
@@ -416,6 +438,36 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("keyhorn: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimize", "--in", "{bodies}", "--measure", "all"],
+            ["exact", "--in", "{bodies}", "--measure", "all"],
+            ["bounds", "--in", "{bodies}"],
+            ["verify", "--in", "{bodies}", "--formula", "{horn}"],
+            ["gen", "hydra", "--n", HUGE_N, "--edges", "1,2 2,3"],
+            ["gen", "random", "--n", HUGE_N, "--m", "2", "--k", "2", "--seed", "1"],
+        ],
+        ids=["minimize", "exact", "bounds", "verify", "gen-hydra", "gen-random"],
+    )
+    def test_universe_too_large_for_an_int_exits_2_in_one_line(self, huge_files, capsys, argv):
+        assert main([a.format(**huge_files) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("keyhorn: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mwscs", "--in", "{bodies}"],
+            ["price", "--in", "{bodies}", "--measure", "C", "--from", "1", "--to", "2"],
+            ["price", "--in", "{bodies}", "--measure", "L", "--from", "1", "--to", "2"],
+        ],
+        ids=["mwscs", "price-C", "price-L"],
+    )
+    def test_universe_too_large_for_an_int_still_serves(self, huge_files, capsys, argv):
+        assert main([a.format(**huge_files) for a in argv]) == 0
+        json.loads(capsys.readouterr().out)
 
     def test_price_command(self, tmp_path, capsys):
         p = tmp_path / "four.bodies"

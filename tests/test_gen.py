@@ -4,7 +4,6 @@ import pytest
 
 from keyhorn import (
     Measure,
-    TrivialInstance,
     VarSet,
     gen_hydra,
     gen_projective,
@@ -19,6 +18,13 @@ from keyhorn.gen import GenerationError
 from helpers import ref_min_price_into_hyperplane_shifts
 
 
+def single_body_text(n: int) -> str:
+    return (
+        f"single-body family over {n} variables; 'gen' emits normalized families, "
+        "and a single-body family normalizes to no variables"
+    )
+
+
 class TestGenRandom:
     def test_deterministic(self):
         a = gen_random(6, 4, 3, seed=1)
@@ -31,7 +37,7 @@ class TestGenRandom:
         for seed in range(20):
             try:
                 inst = gen_random(7, 4, 4, seed)
-            except (GenerationError, TrivialInstance):
+            except GenerationError:
                 continue
             assert inst.is_normalized
             assert inst.k <= 4
@@ -40,6 +46,12 @@ class TestGenRandom:
         with pytest.raises(GenerationError):
             gen_random(3, 4, 1, seed=0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_body_is_a_generation_error(self, seed):
+        with pytest.raises(GenerationError) as exc:
+            gen_random(5, 1, 3, seed)
+        assert str(exc.value) == single_body_text(5)
+
 
 class TestGenHydra:
     def test_triangle(self):
@@ -47,8 +59,9 @@ class TestGenHydra:
         assert inst.m == 3 and inst.n == 3 and inst.k == 2
 
     def test_single_edge_trivial(self):
-        with pytest.raises(TrivialInstance):
+        with pytest.raises(GenerationError) as exc:
             gen_hydra([(1, 2)], 3)
+        assert str(exc.value) == single_body_text(3)
 
     def test_edge_covering_universe(self):
         # over two variables the only edge is the whole universe, which can

@@ -5,19 +5,46 @@ import pytest
 from keyhorn import (
     ClauseGroup,
     HornCNF,
+    KeyHornInstance,
     Measure,
     TrivialInstance,
     VarSet,
+    canonical_sorted,
     hamiltonian_formula,
     lift,
     measure_size,
     minimize,
+    minimize_all,
     normalize,
     sperner_minimal,
     verify_against_family,
 )
 
-from helpers import random_raw_family
+from helpers import random_raw_family, ref_lift
+
+
+def raw_family_with_core(rng: random.Random) -> tuple[int, list[VarSet]]:
+    """Raw family over a shared core, leaving some variables uncovered,
+    with duplicates and strict supersets; a single body in one draw of five."""
+    n = rng.randint(2, 9)
+    order = rng.sample(range(1, n + 1), n)
+    ncore = rng.randint(0, min(2, n - 2))
+    nunc = rng.randint(0, min(2, n - ncore - 1))
+    core, free = order[:ncore], order[ncore + nunc :]
+    # with nothing uncovered, one free variable stays out so no body is full
+    most = len(free) - (nunc == 0)
+    fam = [
+        VarSet(n, core + rng.sample(free, rng.randint(1, most)))
+        for _ in range(1 if rng.random() < 0.2 else rng.randint(2, 5))
+    ]
+    for b in list(fam):
+        rest = sorted(b.complement())
+        if len(rest) > 1 and rng.random() < 0.5:
+            fam.append(b | VarSet(n, [rng.choice(rest)]))
+        if rng.random() < 0.3:
+            fam.append(b)
+    rng.shuffle(fam)
+    return n, fam
 
 
 class TestSpernerMinimal:
@@ -53,6 +80,22 @@ class TestSpernerMinimal:
         with pytest.raises(ValueError):
             sperner_minimal([VarSet(2, [1, 2])])
 
+    @pytest.mark.parametrize(
+        "fam, message",
+        [
+            ([], "body family must be nonempty"),
+            ([VarSet(3, [1]), VarSet(3)], "bodies must be nonempty"),
+            ([VarSet(3, [1]), VarSet(3, [1, 2, 3])], "no body may equal the full variable set"),
+        ],
+        ids=["empty-family", "empty-body", "full-body"],
+    )
+    def test_checks_the_family_as_the_instance_does(self, fam, message):
+        with pytest.raises(ValueError) as via_sperner:
+            sperner_minimal(fam)
+        with pytest.raises(ValueError) as via_instance:
+            KeyHornInstance(3, fam)
+        assert str(via_sperner.value) == str(via_instance.value) == message
+
 
 class TestNormalize:
     def test_core_and_uncovered(self):
@@ -62,6 +105,7 @@ class TestNormalize:
         assert sorted(rec.removed_core) == [1]
         assert sorted(rec.uncovered) == [4]
         assert rec.var_map == (2, 3)
+        assert rec.anchor == VarSet(4, [1, 2])
 
     def test_identity_on_normalized(self):
         fam = [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])]
@@ -74,7 +118,7 @@ class TestNormalize:
         with pytest.raises(TrivialInstance) as exc:
             normalize(3, [VarSet(3, [1, 2])])
         assert sorted(exc.value.record.removed_core) == [1, 2]
-        phi = lift(HornCNF(0), exc.value.record, [VarSet(3, [1, 2])])
+        phi = lift(HornCNF(0), exc.value.record)
         assert [(sorted(g.body), sorted(g.heads)) for g in phi.groups] == [([1, 2], [3])]
 
     def test_single_body_lifts_the_empty_formula(self):
@@ -95,7 +139,7 @@ class TestNormalize:
             rec = exc.value.record
             assert rec.removed_core == body and rec.original_n == n
             assert rec.uncovered == body.complement() and rec.var_map == ()
-            phi = lift(HornCNF(0), rec, fam)
+            phi = lift(HornCNF(0), rec)
             assert phi == HornCNF(n, [ClauseGroup(body, body.complement())])
             assert verify_against_family(phi, n, fam)
 
@@ -119,7 +163,7 @@ class TestLift:
         fam = [VarSet(4, [1, 2]), VarSet(4, [1, 3])]
         inst, rec = normalize(4, fam)
         reduced = hamiltonian_formula(inst)
-        lifted = lift(reduced, rec, fam)
+        lifted = lift(reduced, rec)
         pairs = [(sorted(g.body), sorted(g.heads)) for g in lifted.groups]
         # {1,2} is the smallest original body, so it carries the clause for
         # the uncovered variable 4 (merged with its cycle heads)
@@ -131,14 +175,14 @@ class TestLift:
         fam = [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])]
         inst, rec = normalize(3, fam)
         phi = hamiltonian_formula(inst)
-        assert lift(phi, rec, fam) == phi
+        assert lift(phi, rec) == phi
 
     def test_mismatched_record(self):
         fam = [VarSet(4, [1, 2]), VarSet(4, [1, 3])]
         _, rec = normalize(4, fam)
         wrong = HornCNF.of(3, [((1,), (2,))])
         with pytest.raises(ValueError):
-            lift(wrong, rec, fam)
+            lift(wrong, rec)
 
     def test_roundtrip_verifies_on_random_raw_families(self):
         rng = random.Random(5)
@@ -148,17 +192,37 @@ class TestLift:
             try:
                 inst, rec = normalize(n, fam)
             except TrivialInstance as triv:
-                phi = lift(HornCNF(0), triv.record, fam)
+                phi = lift(HornCNF(0), triv.record)
                 assert verify_against_family(phi, n, fam)
                 continue
             res = minimize(inst, measures[i % len(measures)])
-            lifted = lift(res.formula, rec, fam)
+            lifted = lift(res.formula, rec)
             assert verify_against_family(lifted, n, fam)
+
+    def test_matches_reference_lift_on_raw_families(self):
+        # the record's anchor replaces the reference's scan of the raw family
+        rng = random.Random(23)
+        seen = {"trivial": 0, "core": 0, "uncovered": 0, "dropped": 0}
+        for _ in range(500):
+            n, fam = raw_family_with_core(rng)
+            try:
+                inst, rec = normalize(n, fam)
+                formulas = [HornCNF(inst.n)] + [r.formula for r in minimize_all(inst).values()]
+            except TrivialInstance as triv:
+                rec, formulas = triv.record, [HornCNF(0)]
+                seen["trivial"] += 1
+            seen["core"] += bool(rec.removed_core)
+            seen["uncovered"] += bool(rec.uncovered)
+            seen["dropped"] += len(set(fam)) < len(fam) or len(sperner_minimal(fam)) < len(set(fam))
+            assert rec.anchor == canonical_sorted(fam)[0]
+            for phi in formulas:
+                assert lift(phi, rec) == ref_lift(phi, rec, fam)
+        assert min(seen.values()) >= 50, seen
 
     def test_lifted_sizes_account_for_core_and_uncovered(self):
         fam = [VarSet(6, [1, 2, 3]), VarSet(6, [1, 2, 4])]
         inst, rec = normalize(6, fam)
         res = minimize(inst, Measure.C)
-        lifted = lift(res.formula, rec, fam)
+        lifted = lift(res.formula, rec)
         # two uncovered variables (5, 6) add one clause each
         assert measure_size(lifted, Measure.C) == res.size + 2
