@@ -451,7 +451,12 @@ def cmd_gen(args) -> int:
         edges = []
         for pair in args.edges.split():
             a, _, b = pair.partition(",")
-            edges.append((int(a), int(b)))
+            try:
+                edges.append((int(a), int(b)))
+            except ValueError:
+                raise ValueError(
+                    f"--edges pair {pair!r} is not of the form a,b with integers a and b"
+                ) from None
         inst = gen_hydra(edges, args.n)
         text = write_bodies(inst.n, inst.bodies, comment="hydra")
         _write_or_print(args, text, None)
@@ -475,7 +480,12 @@ def cmd_gen(args) -> int:
     if args.kind == "sat3":
         clauses = []
         for raw_clause in args.clause:
-            clauses.append([int(tok) for tok in raw_clause.split()])
+            try:
+                clauses.append([int(tok) for tok in raw_clause.split()])
+            except ValueError:
+                raise ValueError(
+                    f"--clause {raw_clause!r} is not a list of integer literals such as '1 -2 3'"
+                ) from None
         rinst = gen_sat_reduction(clauses)
         stats = {
             "clauses": len(rinst.clauses),

@@ -250,7 +250,12 @@ def gen_sat_reduction(clauses: Sequence[Sequence[int]]) -> SatReductionInstance:
     nv = 0
     for idx, c in enumerate(clauses):
         lits = tuple(c)
-        if len(lits) != 3 or any(l == 0 for l in lits):
+        if 0 in lits:
+            raise GenerationError(
+                f"clause {idx + 1} has the literal 0; "
+                "a literal is a nonzero variable index, negated with '-'"
+            )
+        if len(lits) != 3:
             raise GenerationError(f"clause {idx + 1} must have exactly 3 literals")
         vs = tuple(abs(l) for l in lits)
         if len(set(vs)) != 3:

@@ -251,12 +251,23 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
 # 5. Expansion enters a supernode at the member holding the original head of
 #    the arc chosen into it; every other member keeps its own choice.
 #
-# A level costs O(k^2) for k current nodes, and a rooted call can need about
-# m levels (the out-arborescences of ``mwscs_2approx`` do), so a call is
-# O(m^3) in the worst case.  Tarjan's O(m^2) branching breaks ties
-# differently and would change which arborescence is chosen, and with it the
-# reports; ``_root_weights`` uses such a tree only for weights, which do not
-# depend on ties.
+# Lemma: rule 1 needs to run on every column only once, at the start.  A
+# column that no cycle contracts keeps its minimum at the next level: its
+# entries from uncontracted tails are unchanged, and each merged entry is
+# the least of the entries it replaces (rule 3).  Supernode ids exceed every
+# older id, so the least-id tail reaching that minimum is also unchanged,
+# unless that tail was contracted.  So after a contraction only the new
+# supernode columns, and the columns whose chosen tail was just contracted,
+# choose again; every other column keeps its choice, moved to the tail's
+# new position.
+#
+# A level still costs O(k^2) for k current nodes, in merging the cycles'
+# columns and rebuilding every column without the members, and a rooted
+# call can need about m levels (the out-arborescences of ``mwscs_2approx``
+# do), so a call is O(m^3) in the worst case.  Tarjan's O(m^2) branching
+# breaks ties differently and would change which arborescence is chosen,
+# and with it the reports; ``_root_weights`` uses such a tree only for
+# weights, which do not depend on ties.
 
 
 def _min_arborescence(cols, root: int) -> list[int]:
@@ -272,30 +283,27 @@ def _min_arborescence(cols, root: int) -> list[int]:
     # Per position of the current level, in ascending node id: the node id,
     # its smallest original member, and its in-column: w[p][q] is the weight
     # of the arc from position q (inf for q == p) and orig[p][q] the original
-    # arc behind it, as tail * n + head.  The root has no column.
+    # arc behind it, as tail * n + head.  The root has no column.  pred[p] is
+    # the position of p's chosen tail and bw[p] that arc's weight (rule 1).
     ids = list(range(n))
     low = list(range(n))
     w: list = [None] * n
     orig: list = [None] * n
+    pred = [root] * n
+    bw = [0] * n
     for h, col in enumerate(cols):
         if h != root:
             w[h] = col = list(col)
             col[h] = inf
             orig[h] = list(range(h, n * n, n))
+            bw[h] = x = min(col)
+            pred[h] = col.index(x)
+    rp = root  # the root's position
     up = [-1] * (2 * n)  # node id -> the supernode it was contracted into
     members: list[list[tuple[int, int]]] = []  # per supernode: (member, own arc)
 
     while True:
         k = len(ids)
-        rp = ids.index(root)
-        pred = [rp] * k
-        bw = [0] * k
-        for p in range(k):
-            if p != rp:
-                col = w[p]
-                bw[p] = x = min(col)
-                pred[p] = col.index(x)
-
         color = [0] * k  # 1 on the current walk, 2 done
         color[rp] = 2
         cycles = []
@@ -332,28 +340,45 @@ def _min_arborescence(cols, root: int) -> list[int]:
             low.append(min(low[p] for p in cyc))
             w.append(mw)
             orig.append(mo)
+            pred.append(0)
+            bw.append(0)
 
-        # every column gains one entry per supernode and loses the members
-        c = len(cycles)
+        # every column gains one entry per supernode and loses the members;
+        # pos[q] is the next level's position of q, or of q's supernode
         gone = sorted((p for cyc in cycles for p in cyc), reverse=True)
+        new = k - len(gone)  # the first supernode's position
+        pos = [-1] * k
+        for j, cyc in enumerate(cycles):
+            for q in cyc:
+                pos[q] = new + j
+        for i, q in enumerate([q for q in range(k) if pos[q] < 0]):
+            pos[q] = i
         for p in gone:
-            del w[p], orig[p], ids[p], low[p]
+            del w[p], orig[p], ids[p], low[p], pred[p], bw[p]
+        rp = pos[rp]
+        # each cycle as its first member and the rest: ties go to the first
+        split = [(cyc[0], cyc[1:]) for cyc in cycles]
         for p, (col, oc) in enumerate(zip(w, orig)):
             if col is None:
                 continue
-            own = p - (len(w) - c)  # this column's own cycle, if it is new
-            for j, cyc in enumerate(cycles):
-                best = inf
-                bq = cyc[0]
-                if j != own:
-                    for q in cyc:
-                        if col[q] < best:
-                            best = col[q]
-                            bq = q
+            for bq, rest in split:
+                best = col[bq]
+                for q in rest:
+                    if col[q] < best:
+                        best = col[q]
+                        bq = q
                 col.append(best)
                 oc.append(oc[bq])
             for q in gone:
                 del col[q], oc[q]
+            # rule 1 again only where the lemma above does not keep the choice
+            if p >= new:
+                col[p] = inf  # a new supernode's entry for itself
+                bw[p] = x = min(col)
+                pred[p] = col.index(x)
+            else:
+                q = pos[pred[p]]
+                pred[p] = q if q < new else col.index(bw[p])
 
     parent = [-1] * n
     stack = [(ids[p], orig[p][pred[p]]) for p in range(len(ids)) if p != rp]

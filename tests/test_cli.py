@@ -530,6 +530,28 @@ class TestOtherCommands:
             "normalized families, and a single-body family normalizes to no variables\n"
         )
 
+    @pytest.mark.parametrize("pair", ["1", "1,x", "1,2,3", ",2"])
+    def test_gen_hydra_names_a_malformed_pair(self, capsys, pair):
+        assert main(["gen", "hydra", "--n", "3", "--edges", f"1,2 {pair}"]) == 2
+        assert capsys.readouterr().err == (
+            f"keyhorn: error: --edges pair '{pair}' is not of the form a,b with integers a and b\n"
+        )
+
+    @pytest.mark.parametrize(
+        "clause, message",
+        [
+            ("1 2 0", "clause 2 has the literal 0; a literal is a nonzero variable index, negated with '-'"),
+            ("1 2 3 0", "clause 2 has the literal 0; a literal is a nonzero variable index, negated with '-'"),
+            ("1 2", "clause 2 must have exactly 3 literals"),
+            ("1 2 -3 4", "clause 2 must have exactly 3 literals"),
+            ("1 x 3", "--clause '1 x 3' is not a list of integer literals such as '1 -2 3'"),
+        ],
+        ids=["zero", "trailing-zero", "two", "four", "not-an-int"],
+    )
+    def test_gen_sat3_names_a_zero_literal_apart_from_a_wrong_count(self, capsys, clause, message):
+        assert main(["gen", "sat3", "--clause", "1 -2 3", "--clause", clause]) == 2
+        assert capsys.readouterr().err == f"keyhorn: error: {message}\n"
+
     def test_gen_sat3(self, capsys):
         rc = main(["gen", "sat3", "--clause", "1 2 3"])
         assert rc == 0

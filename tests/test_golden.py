@@ -13,7 +13,7 @@ from keyhorn.cli import main, parse_bodies, write_bodies, write_horn
 
 GOLDEN_SHA256 = "67ad6199e45a243b60694eb3ac1fd197c3c8e4a31aae71f99671dd5af32a5316"
 GOLDEN_WITNESS_SHA256 = "e6d0ff7ee8609cb0c00505eeca8454ebece9bd5dc3772eea4ca97c216f096cc7"
-GOLDEN_OTHER_SHA256 = "a82fb4b6854a6b7e925c5027ad2ac3d9182e1e338a871d022e3d4fc3c96eb3ba"
+GOLDEN_OTHER_SHA256 = "ab1934f89c1b5113ec8681a5c11d84b76699ee947594f1a773791be7da55c343"
 
 STRATEGIES = ("auto", "hamiltonian", "procedure1", "procedure2")
 

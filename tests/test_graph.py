@@ -424,6 +424,22 @@ class TestArborescenceMatchesReference:
         g = body_graph_c(KeyHornInstance(p.n, p.bodies))
         assert_same_choices_as_reference(g, range(g.m))
 
+    # Many contraction levels, where a column keeps its rule-1 choice across
+    # levels or chooses again after its tail is contracted: on d = 4 the
+    # sampled roots contract 0 to 49 levels toward the root and 13 to 30 away
+    # from it.
+    def test_projective_d4_every_sixth_root(self):
+        p = gen_projective(4)
+        g = body_graph_c(KeyHornInstance(p.n, p.bodies))
+        assert_same_choices_as_reference(g, range(0, g.m, 6))
+
+    def test_tie_heavy_random_graphs_m_12_to_30(self):
+        rng = random.Random(24)
+        for i in range(38):
+            m = 12 + i % 19
+            g = graph_of(random_weight_matrix(rng, m, hi=(1, 3)[i // 19]))
+            assert_same_choices_as_reference(g, range(i % 3, m, 3))
+
     def test_no_recursion_at_m_200(self):
         inst = random_instances(1, 1500, n_range=(300, 300), m_range=(200, 200), k_range=(20, 20))[0]
         g = body_graph_c(inst)
