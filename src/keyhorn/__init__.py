@@ -29,7 +29,6 @@ from .reduce import (
     TrivialInstance,
     lift,
     normalize,
-    sperner_minimal,
 )
 from .graph import (
     BodyGraph,
@@ -116,7 +115,6 @@ __all__ = [
     "price_l_exact",
     "procedure1",
     "procedure2",
-    "sperner_minimal",
     "verify_against_family",
     "verify_representation",
 ]

@@ -93,14 +93,13 @@ def guarantee_factor(inst: KeyHornInstance, mu: Measure) -> Fraction:
     return min(factors)
 
 
-def lower_bound(inst: KeyHornInstance, mu: Measure, partition_c: int | None = None) -> int:
+def lower_bound(inst: KeyHornInstance, mu: Measure) -> int:
     """Unconditional lower bound on the optimal ``mu``-size.
 
     Every representation uses all m minimal bodies; every variable must be
     the head of some clause (so at least n clauses); each such clause has a
     body of size at least delta and at least two literals.  The clause
-    count also takes the partition bound (a normalized family has m >= 2),
-    ``partition_c`` when it is given.
+    count also takes the partition bound (a normalized family has m >= 2).
     """
     inst.require_normalized()
     n, m, delta = inst.n, inst.m, inst.delta
@@ -112,9 +111,7 @@ def lower_bound(inst: KeyHornInstance, mu: Measure, partition_c: int | None = No
     if mu is Measure.TA:
         return max(m, n, sum_bodies)
     if mu is Measure.C:
-        if partition_c is None:
-            partition_c = lower_bound_partition_c(inst)
-        return max(m, n, partition_c)
+        return max(m, n, lower_bound_partition_c(inst))
     if mu is Measure.BC:
         return m + n
     if mu is Measure.L:
@@ -127,7 +124,7 @@ def lower_bound_partition_c(inst: KeyHornInstance) -> int:
     body B costs at least the cheapest |B' \\ B| over the other bodies, so
     the bound is the sum of the off-diagonal row minima of the C body graph.
 
-    Valid for any Sperner family; normalization is not required.
+    Valid for any instance; normalization is not required.
     """
     if inst.m < 2:
         raise ValueError("partition bound needs at least two bodies")

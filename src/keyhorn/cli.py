@@ -49,13 +49,13 @@ from .gen import (
     gen_sat_reduction,
 )
 from .graph import (
-    NoBodyInSourceError,
     body_graph_c,
+    bodies_inside,
     lambda_formula,
     mwscs_2approx,
     price_c,
 )
-from .reduce import NormalizationRecord, TrivialInstance, lift, normalize, sperner_minimal
+from .reduce import NormalizationRecord, TrivialInstance, lift, normalize
 
 
 class ParseError(ValueError):
@@ -377,9 +377,8 @@ def cmd_bounds(args) -> int:
     n, raw, report = _load(args)
     try:
         inst, _rec = normalize(n, raw)
-        part = lower_bound_partition_c(inst)
-        bounds = {str(mu): lower_bound(inst, mu, part) for mu in MEASURES}
-        bounds["C_partition"] = part
+        bounds = {str(mu): lower_bound(inst, mu) for mu in MEASURES}
+        bounds["C_partition"] = lower_bound_partition_c(inst)
         report["instance"] = _instance_block(inst)
         report["lower_bounds"] = bounds
     except TrivialInstance as triv:
@@ -407,23 +406,22 @@ def cmd_price(args) -> int:
     src = _parse_var_list(getattr(args, "from"), n)
     dst = _parse_var_list(args.to, n)
     out = {"measure": args.measure, "from": sorted(src), "to": sorted(dst)}
+    # keep the caller's coordinates: minimal bodies, no remapping
+    inst = KeyHornInstance(n, raw)
     if args.measure == "C":
         # as for L: with no body inside the source no clause can ever fire
-        if not dst.issubset(src) and not any(b.issubset(src) for b in raw):
-            raise NoBodyInSourceError("no family body is contained in the source set")
+        if not dst.issubset(src):
+            bodies_inside(inst, src)
         out["value"] = price_c(src, dst)
         out["exact"] = True
+    elif args.exact:
+        out["value"] = price_l_exact(inst, src, dst, max_bodies=args.cap)
+        out["exact"] = True
     else:
-        # keep the caller's coordinates: minimal bodies, no remapping
-        inst = KeyHornInstance(n, sperner_minimal(raw))
-        if args.exact:
-            out["value"] = price_l_exact(inst, src, dst, max_bodies=args.cap)
-            out["exact"] = True
-        else:
-            lam = lambda_formula(inst, src, dst)
-            out["value"] = lam.weight
-            out["exact"] = False
-            out["formula"] = write_horn(lam.formula).splitlines()
+        lam = lambda_formula(inst, src, dst)
+        out["value"] = lam.weight
+        out["exact"] = False
+        out["formula"] = write_horn(lam.formula).splitlines()
     sys.stdout.write(_dump_json(out))
     return 0
 
@@ -522,7 +520,7 @@ def _detect_projective(inst: KeyHornInstance):
 
 def cmd_mwscs(args) -> int:
     n, raw, _head = _load(args)
-    inst = KeyHornInstance(n, sperner_minimal(raw))
+    inst = KeyHornInstance(n, raw)
     g = body_graph_c(inst)
     arcs, weight = mwscs_2approx(g)
     # a single body is strongly connected on its own and has no entering arc

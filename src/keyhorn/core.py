@@ -151,20 +151,6 @@ def canonical_sorted(sets: Iterable[VarSet]) -> tuple[VarSet, ...]:
     return tuple(sorted(sets, key=cmp_to_key(VarSet.compare)))
 
 
-def canonical_family(bodies: Iterable[VarSet]) -> tuple[VarSet, ...]:
-    """A body family deduplicated and in canonical order, checked to be
-    nonempty and to hold neither an empty nor a full body."""
-    fam = canonical_sorted(set(bodies))
-    if not fam:
-        raise ValueError("body family must be nonempty")
-    for b in fam:
-        if not b:
-            raise ValueError("bodies must be nonempty")
-        if b.is_full():
-            raise ValueError("no body may equal the full variable set")
-    return fam
-
-
 @dataclass(frozen=True)
 class ClauseGroup:
     """All clauses sharing one body: ``body -> v`` for each v in ``heads``.
@@ -400,26 +386,43 @@ def verify_representation(phi: HornCNF, inst: "KeyHornInstance") -> VerifyResult
 
 
 class KeyHornInstance:
-    """A Sperner body family over {1, ..., n} with cached size statistics.
+    """The key Horn function of a body family over {1, ..., n}, with cached
+    size statistics.
 
-    ``m`` is the family size, ``k`` the largest and ``delta`` the smallest
-    body size.  Raw instances may leave variables uncovered or shared by all
-    bodies; normalization (module ``reduce``) removes both.
+    ``bodies`` holds the family's inclusion-minimal members, deduplicated
+    and in canonical order: a superset body's clauses are implied by its
+    subset's, so the function depends on those alone.  ``m`` is their
+    number, ``k`` the largest and ``delta`` the smallest body size.  Raw
+    instances may leave variables uncovered or shared by all bodies;
+    normalization (module ``reduce``) removes both.
     """
 
     __slots__ = ("n", "bodies", "m", "k", "delta", "_graph_c")
 
     def __init__(self, n: int, bodies: Iterable[VarSet]):
-        fam = canonical_family(bodies)
-        for i, a in enumerate(fam):
-            if a.n != n:
-                raise UniverseMismatchError(f"body over universe {a.n}, instance over {n}")
-            for b in fam[i + 1 :]:
-                # canonical order sorts by size, so only a subset-of-b is possible
-                if a.mask & b.mask == a.mask:
-                    raise ValueError(f"family is not Sperner: {a!r} inside {b!r}")
+        fam = canonical_sorted(set(bodies))
+        if not fam:
+            raise ValueError("body family must be nonempty")
+        for b in fam:
+            if not b:
+                raise ValueError("bodies must be nonempty")
+            if b.is_full():
+                raise ValueError("no body may equal the full variable set")
+        minimal: list[VarSet] = []
+        masks: list[int] = []
+        for b in fam:
+            if b.n != n:
+                raise UniverseMismatchError(f"body over universe {b.n}, instance over {n}")
+            # deduplicated and sorted by size, so a kept subset of b is a strict one
+            bm = b.mask
+            for a in masks:
+                if a & bm == a:
+                    break
+            else:
+                minimal.append(b)
+                masks.append(bm)
         self.n = n
-        self.bodies = fam
+        self.bodies = fam = tuple(minimal)
         self.m = len(fam)
         self.k = max(len(b) for b in fam)
         self.delta = min(len(b) for b in fam)

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import MEASURES, ClauseGroup, HornCNF, KeyHornInstance, Measure, VarSet, measure_size
-from .graph import NoBodyInSourceError
+from .graph import bodies_inside
 
 
 class SearchLimitError(ValueError):
@@ -75,9 +75,7 @@ def price_l_exact(
         raise SearchLimitError(f"instance has {m} bodies, cap is {max_bodies}")
     masks = [b.mask for b in inst.bodies]
     szp = [len(b) + 1 for b in inst.bodies]
-    starts = [i for i in range(m) if masks[i] & ~s.mask == 0]
-    if not starts:
-        raise NoBodyInSourceError("no family body is contained in the source set")
+    starts = bodies_inside(inst, s)
 
     smask = s.mask
     t_mask = s2.mask

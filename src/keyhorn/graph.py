@@ -72,6 +72,16 @@ class LambdaFormula:
     weight: int
 
 
+def bodies_inside(inst: KeyHornInstance, s: VarSet) -> list[int]:
+    """The indices of the instance's bodies contained in ``s``, in body order.
+    Raises :class:`NoBodyInSourceError` when there are none, since chaining
+    from ``s`` then never fires a clause."""
+    inside = [i for i, b in enumerate(inst.bodies) if b.mask & ~s.mask == 0]
+    if not inside:
+        raise NoBodyInSourceError("no family body is contained in the source set")
+    return inside
+
+
 def price_c(b: VarSet, b2: VarSet) -> int:
     """Exact clause cost of reaching ``b2`` from ``b``: each missing variable
     needs one clause and one clause each suffices."""
@@ -115,9 +125,7 @@ def lambda_formula(inst: KeyHornInstance, s: VarSet, s2: VarSet) -> LambdaFormul
     bodies = inst.bodies
     m = inst.m
     # canonical order makes the first body inside s the smallest one
-    b0 = next((i for i, b in enumerate(bodies) if b.issubset(s)), None)
-    if b0 is None:
-        raise NoBodyInSourceError("no family body is contained in the source set")
+    b0 = bodies_inside(inst, s)[0]
 
     smask = s.mask
     masks = [b.mask for b in bodies] + [s2.mask]

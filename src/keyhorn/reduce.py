@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (
-    ClauseGroup,
-    HornCNF,
-    KeyHornInstance,
-    VarSet,
-    canonical_family,
-)
+from .core import ClauseGroup, HornCNF, KeyHornInstance, VarSet
 
 
 @dataclass(frozen=True)
@@ -53,17 +47,6 @@ class TrivialInstance(Exception):
         self.record = record
 
 
-def sperner_minimal(bodies: Iterable[VarSet]) -> tuple[VarSet, ...]:
-    """The inclusion-minimal members of a body family, deduplicated and in
-    canonical order.  Minimization never benefits from the other bodies."""
-    keep = []
-    for b in canonical_family(bodies):
-        # deduplicated and sorted by size, so a kept subset of b is a strict one
-        if not any(o.mask & b.mask == o.mask for o in keep):
-            keep.append(b)
-    return tuple(keep)
-
-
 def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, NormalizationRecord]:
     """Reduce a raw family to minimal bodies over a dense covering universe.
 
@@ -72,11 +55,7 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
     to 1..n'.  Raises :class:`TrivialInstance`, which carries the record,
     when only one minimal body remains (its core removal would empty it).
     """
-    raw = set(bodies)
-    for b in raw:
-        if b.n != n:
-            raise ValueError(f"body over universe {b.n}, family over {n}")
-    minimal = sperner_minimal(raw)
+    minimal = KeyHornInstance(n, bodies).bodies
 
     core = (1 << n) - 1
     union = 0

@@ -421,13 +421,6 @@ class TestOtherCommands:
         assert main(["minimize", "--in", tri_file, "--measure", measure]) == 0
         assert builds == []
 
-    def test_bounds_takes_one_partition_bound(self, tri_file, capsys, monkeypatch):
-        # the C bound reuses the C_partition value instead of summing the
-        # row minima again
-        taken = [counting(monkeypatch, mod, "lower_bound_partition_c") for mod in (cli, approx)]
-        assert main(["bounds", "--in", tri_file]) == 0
-        assert sum(map(len, taken)) == 1
-
     @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
     def test_resource_errors_exit_2_in_one_line(self, tri_file, capsys, monkeypatch, exc):
         def boom(args):
@@ -529,6 +522,47 @@ class TestOtherCommands:
             "keyhorn: error: single-body family over 3 variables; 'gen' emits "
             "normalized families, and a single-body family normalizes to no variables\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "--in", "c only a comment\n"], "line 1: missing 'p keyhorn <n> <m>' header"),
+            (["bounds", "--in", ""], "line 1: missing 'p keyhorn <n> <m>' header"),
+            (["bounds", "--in", "p keyhorn 0 1\n1\n"],
+             "line 1: header needs n >= 1 and m >= 1, got 'p keyhorn 0 1'"),
+            (["bounds", "--in", "p keyhorn 3 0\n"],
+             "line 1: header needs n >= 1 and m >= 1, got 'p keyhorn 3 0'"),
+            (["verify", "--in", TRIANGLE_TEXT, "--formula", "p horn 0 0\n"],
+             "line 1: bad sizes in header 'p horn 0 0'"),
+            (["verify", "--in", TRIANGLE_TEXT, "--formula", "p horn 3 -1\n"],
+             "line 1: bad sizes in header 'p horn 3 -1'"),
+            (["gen", "random", "--n", "1", "--m", "2", "--k", "1", "--seed", "1"],
+             "degenerate parameters n=1 m=2 k=1"),
+            (["gen", "random", "--n", "5", "--m", "0", "--k", "2", "--seed", "1"],
+             "degenerate parameters n=5 m=0 k=2"),
+            (["gen", "random", "--n", "5", "--m", "2", "--k", "0", "--seed", "1"],
+             "degenerate parameters n=5 m=2 k=0"),
+            (["gen", "random", "--n", "2", "--m", "2", "--k", "2", "--seed", "1"],
+             "no legal body sizes for n=2, k=2"),
+            (["gen", "hydra", "--n", "3", "--edges", ""], "edge set must be nonempty"),
+        ],
+        ids=[
+            "comment-only", "empty-file", "keyhorn-n0", "keyhorn-m0", "horn-n0", "horn-g-1",
+            "random-n1", "random-m0", "random-k0", "random-no-sizes", "hydra-no-edges",
+        ],
+    )
+    def test_input_errors_exit_2_in_one_line(self, tmp_path, capsys, argv, message):
+        # the text after --in or --formula is the file's content
+        argv = list(argv)
+        for i, flag in enumerate(argv[:-1]):
+            if flag in ("--in", "--formula"):
+                path = tmp_path / flag.lstrip("-")
+                path.write_text(argv[i + 1])
+                argv[i + 1] = str(path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"keyhorn: error: {message}\n"
 
     @pytest.mark.parametrize("pair", ["1", "1,x", "1,2,3", ",2"])
     def test_gen_hydra_names_a_malformed_pair(self, capsys, pair):

@@ -1,6 +1,8 @@
 import ast
+import itertools
 import random
 import re
+import shlex
 import tracemalloc
 import types
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import keyhorn
+from keyhorn import cli
 from keyhorn import (
     ClauseGroup,
     HornCNF,
@@ -442,9 +445,15 @@ class TestKeyHornInstance:
         assert (TRIANGLE.n, TRIANGLE.m, TRIANGLE.k, TRIANGLE.delta) == (3, 3, 2, 2)
         assert TRIANGLE.is_normalized
 
-    def test_rejects_non_sperner(self):
-        with pytest.raises(ValueError):
-            KeyHornInstance(3, [VarSet(3, [1]), VarSet(3, [1, 2])])
+    def test_keeps_minimal_bodies(self):
+        # a superset body's clauses are implied by its subset's, so the
+        # instance keeps only the inclusion-minimal bodies, in canonical order
+        inst = KeyHornInstance(
+            4, [VarSet(4, [2, 3, 4]), VarSet(4, [1, 2]), VarSet(4, [1]), VarSet(4, [3])]
+        )
+        assert inst.bodies == (VarSet(4, [1]), VarSet(4, [3]))
+        assert (inst.m, inst.k, inst.delta) == (2, 1, 1)
+        assert inst == KeyHornInstance(4, [VarSet(4, [3]), VarSet(4, [1])])
 
     def test_rejects_full_body(self):
         with pytest.raises(ValueError):
@@ -471,6 +480,27 @@ class TestPackageExports:
         library = readme.split("\n## Library\n", 1)[1]
         code = library.split("```python\n", 1)[1].split("```", 1)[0]
         exec(compile(code, "README.md", "exec"), {})
+
+    def test_readme_command_block_runs(self, tmp_path, monkeypatch, capsys):
+        # each line runs in order, once with and once without each
+        # bracketed part, in an empty directory
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        commands = readme.split("\n## Command line\n", 1)[1]
+        block = commands.split("```sh\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        ran = 0
+        for line in block.splitlines():
+            # the text outside the brackets, and each bracketed part
+            pieces = re.split(r"\[([^\]]*)\]", line)
+            options = [(part, "") for part in pieces[1::2]]
+            for chosen in itertools.product(*options):
+                text = "".join(p + c for p, c in zip(pieces[0::2], [*chosen, ""]))
+                argv = shlex.split(text, comments=True)
+                assert argv[0] == "keyhorn", line
+                assert cli.main(argv[1:]) == 0, text
+                capsys.readouterr()
+                ran += 1
+        assert ran == 13  # 11 lines, two of them with a bracketed part
 
     def test_every_export_is_used_by_the_package_or_documented(self):
         # a name counts as used when some module other than __init__ refers

@@ -145,6 +145,12 @@ class TestLambdaFormula:
         with pytest.raises(NoBodyInSourceError):
             lambda_formula(TRIANGLE, VarSet(3, [1]), VarSet(3, [2, 3]))
 
+    def test_bodies_inside_lists_every_body_in_the_source(self):
+        assert graph.bodies_inside(TRIANGLE, VarSet(3, [1, 2, 3])) == [0, 1, 2]
+        assert graph.bodies_inside(TRIANGLE, VarSet(3, [2, 3])) == [2]
+        with pytest.raises(NoBodyInSourceError, match="^no family body is contained"):
+            graph.bodies_inside(TRIANGLE, VarSet(3, [1]))
+
     def test_chain_reaches_target_and_weight_bound(self):
         rng = random.Random(11)
         for inst in random_instances(40, 1100, n_range=(3, 7), m_range=(2, 5)):

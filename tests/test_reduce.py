@@ -8,6 +8,7 @@ from keyhorn import (
     KeyHornInstance,
     Measure,
     TrivialInstance,
+    UniverseMismatchError,
     VarSet,
     canonical_sorted,
     hamiltonian_formula,
@@ -16,7 +17,6 @@ from keyhorn import (
     minimize,
     minimize_all,
     normalize,
-    sperner_minimal,
     verify_against_family,
 )
 
@@ -48,37 +48,40 @@ def raw_family_with_core(rng: random.Random) -> tuple[int, list[VarSet]]:
 
 
 class TestSpernerMinimal:
+    """The instance keeps a family's inclusion-minimal bodies, the family
+    ``normalize`` starts from."""
+
     def test_drops_supersets(self):
         fam = [VarSet(3, [1]), VarSet(3, [1, 2]), VarSet(3, [2, 3])]
-        kept = sperner_minimal(fam)
+        kept = KeyHornInstance(3, fam).bodies
         assert [sorted(b) for b in kept] == [[1], [2, 3]]
 
     def test_identity_on_sperner(self):
         fam = [VarSet(3, [1, 2]), VarSet(3, [2, 3])]
-        assert set(sperner_minimal(fam)) == set(fam)
+        assert set(KeyHornInstance(3, fam).bodies) == set(fam)
 
     def test_dedupes(self):
         fam = [VarSet(3, [1, 2]), VarSet(3, [1, 2])]
-        assert len(sperner_minimal(fam)) == 1
+        assert len(KeyHornInstance(3, fam).bodies) == 1
 
     def test_idempotent_order_independent_covering(self):
         rng = random.Random(3)
         for _ in range(200):
             n, fam = random_raw_family(rng)
-            kept = sperner_minimal(fam)
-            assert sperner_minimal(kept) == kept
+            kept = KeyHornInstance(n, fam).bodies
+            assert KeyHornInstance(n, kept).bodies == kept
             shuffled = list(fam)
             rng.shuffle(shuffled)
-            assert sperner_minimal(shuffled) == kept
+            assert KeyHornInstance(n, shuffled).bodies == kept
             assert len(kept) <= len(set(fam))
             for b in fam:
                 assert any(k.issubset(b) for k in kept)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            sperner_minimal([])
+            KeyHornInstance(2, [])
         with pytest.raises(ValueError):
-            sperner_minimal([VarSet(2, [1, 2])])
+            KeyHornInstance(2, [VarSet(2, [1, 2])])
 
     @pytest.mark.parametrize(
         "fam, message",
@@ -90,14 +93,21 @@ class TestSpernerMinimal:
         ids=["empty-family", "empty-body", "full-body"],
     )
     def test_checks_the_family_as_the_instance_does(self, fam, message):
-        with pytest.raises(ValueError) as via_sperner:
-            sperner_minimal(fam)
+        # normalize checks the family through the instance it starts from
+        with pytest.raises(ValueError) as via_normalize:
+            normalize(3, fam)
         with pytest.raises(ValueError) as via_instance:
             KeyHornInstance(3, fam)
-        assert str(via_sperner.value) == str(via_instance.value) == message
+        assert str(via_normalize.value) == str(via_instance.value) == message
 
 
 class TestNormalize:
+    def test_body_over_another_universe_is_reported_after_the_family_checks(self):
+        with pytest.raises(UniverseMismatchError, match="body over universe 4, instance over 3"):
+            normalize(3, [VarSet(4, [1]), VarSet(4, [2])])
+        with pytest.raises(ValueError, match="no body may equal the full variable set"):
+            normalize(3, [VarSet(4, [1]), VarSet(4, [1, 2, 3, 4])])
+
     def test_core_and_uncovered(self):
         inst, rec = normalize(4, [VarSet(4, [1, 2]), VarSet(4, [1, 3])])
         assert inst.n == 2 and inst.m == 2
@@ -213,7 +223,7 @@ class TestLift:
                 seen["trivial"] += 1
             seen["core"] += bool(rec.removed_core)
             seen["uncovered"] += bool(rec.uncovered)
-            seen["dropped"] += len(set(fam)) < len(fam) or len(sperner_minimal(fam)) < len(set(fam))
+            seen["dropped"] += len(set(fam)) < len(fam) or KeyHornInstance(n, fam).m < len(set(fam))
             assert rec.anchor == canonical_sorted(fam)[0]
             for phi in formulas:
                 assert lift(phi, rec) == ref_lift(phi, rec, fam)
