@@ -400,19 +400,21 @@ class KeyHornInstance:
     __slots__ = ("n", "bodies", "m", "k", "delta", "_graph_c")
 
     def __init__(self, n: int, bodies: Iterable[VarSet]):
-        fam = canonical_sorted(set(bodies))
+        fam = set(bodies)
         if not fam:
             raise ValueError("body family must be nonempty")
-        for b in fam:
-            if not b:
-                raise ValueError("bodies must be nonempty")
-            if b.is_full():
-                raise ValueError("no body may equal the full variable set")
-        minimal: list[VarSet] = []
-        masks: list[int] = []
+        if not all(fam):
+            raise ValueError("bodies must be nonempty")
+        if any(b.is_full() for b in fam):
+            raise ValueError("no body may equal the full variable set")
+        # before sorting, whose comparator would name only two universe sizes
         for b in fam:
             if b.n != n:
                 raise UniverseMismatchError(f"body over universe {b.n}, instance over {n}")
+        fam = canonical_sorted(fam)
+        minimal: list[VarSet] = []
+        masks: list[int] = []
+        for b in fam:
             # deduplicated and sorted by size, so a kept subset of b is a strict one
             bm = b.mask
             for a in masks:

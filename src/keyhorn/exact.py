@@ -144,11 +144,16 @@ class _ClauseSearch:
     and a normalized instance has m >= 2).  Below a node whose heads below
     v are fixed, H_i therefore gains at least ``need_i`` heads from v up:
     the fewest bits of ``B_j & ~B_i & ~H_i`` over the j with none of them
-    below v.  A node where some body has no such j has no feasible leaf, and
-    a node where cost + sum of w_i * need_i reaches the incumbent has no
-    cheaper one, so both are cut.  Every cut drops only subtrees with no
-    feasible leaf below the incumbent, so the incumbents, and with them
-    ``best`` and ``best_heads``, are those of the search without it.
+    below v.  Every head assigned so far lies below v, so for such a j that
+    count is the number of bits of B_j minus B_i at v or above, whatever the
+    heads: per head and body, ``__init__`` sorts those counts together with
+    the bits below v, and need_i is the count of the first entry whose bits
+    below v all lie in H_i.  A node where some body has no such j has no
+    feasible leaf, and a node where cost + sum of w_i * need_i reaches the
+    incumbent has no cheaper one, so both are cut.  Every cut drops only
+    subtrees with no feasible leaf below the incumbent, so the incumbents,
+    and with them ``best`` and ``best_heads``, are those of the search
+    without it.
     """
 
     def __init__(self, inst: KeyHornInstance, deadline: Optional[float]):
@@ -164,8 +169,14 @@ class _ClauseSearch:
             assert avail, "normalized instances leave every variable a choice"
             combos = (c for r in range(1, len(avail) + 1) for c in combinations(avail, r))
             self.subsets.append([(c, sum(1 << i for i in c)) for c in combos])
-        # per body: the masks B_j \ B_i of the others, one of which its heads must cover
-        self.diffs = [[b & ~bi for b in masks if b != bi] for bi in masks]
+        # per head v, per body i: over j != i, the number of bits of B_j \ B_i
+        # at v or above and its bits below v, sorted; the body's heads must
+        # hold the low bits of some entry
+        diffs = [[b & ~bi for b in masks if b != bi] for bi in masks]
+        self.deficits = [
+            [sorted(((d >> v).bit_count(), d & ((1 << v) - 1)) for d in ds) for ds in diffs]
+            for v in range(self.n)
+        ]
         # per head v: (body mask, body index, body bit) of the bodies without v
         self.without = [
             [(b, i, 1 << i) for i, b in enumerate(masks) if not b >> v & 1]
@@ -178,17 +189,13 @@ class _ClauseSearch:
         ``best``: body i needs at least ``need_i`` more heads, the fewest
         bits of some ``B_j & ~B_i`` that its heads lack, over the j whose
         lacking bits all lie at v or above."""
-        low = (1 << v) - 1
         bound = cost
-        for w, diffs, h in zip(self.weights, self.diffs, self.heads_of):
-            need = -1
-            for d in diffs:
-                r = d & ~h
-                if not r & low:  # a variable below v can no longer be a head
-                    c = r.bit_count()
-                    if need < 0 or c < need:
-                        need = c
-            if need < 0:
+        for w, table, h in zip(self.weights, self.deficits[v], self.heads_of):
+            # the first entry whose bits below v are all heads has the fewest
+            for need, low in table:
+                if not low & ~h:
+                    break
+            else:
                 return True  # its closure stops at B_i with its heads
             bound += w * need
             if bound >= self.best:

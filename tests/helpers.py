@@ -731,3 +731,38 @@ class RefClauseSearch:
             self._dfs(v + 1, cost + w)
             for i in combo:
                 heads_of[i] ^= bit
+
+
+# ---------------------------------------------------------------------------
+# Reference deficit cut: ``_ClauseSearch._deficit_cut`` as it was before the
+# per-head tables, rescanning every difference mask at every node.
+# ---------------------------------------------------------------------------
+
+
+def ref_deficit_cut(search, v: int, cost: int) -> bool:
+    """Whether the head deficits show that no leaf below a node whose
+    heads below ``v`` are fixed is both feasible and cheaper than
+    ``best``: body i needs at least ``need_i`` more heads, the fewest
+    bits of some ``B_j & ~B_i`` that its heads lack, over the j whose
+    lacking bits all lie at v or above."""
+    # the body masks, read back from the bodies without each head (no body
+    # of a normalized instance holds every variable, so each one appears)
+    by_index = {i: b for row in search.without for b, i, _bit in row}
+    masks = [by_index[i] for i in range(len(by_index))]
+    all_diffs = [[b & ~bi for b in masks if b != bi] for bi in masks]
+    low = (1 << v) - 1
+    bound = cost
+    for w, diffs, h in zip(search.weights, all_diffs, search.heads_of):
+        need = -1
+        for d in diffs:
+            r = d & ~h
+            if not r & low:  # a variable below v can no longer be a head
+                c = r.bit_count()
+                if need < 0 or c < need:
+                    need = c
+        if need < 0:
+            return True  # its closure stops at B_i with its heads
+        bound += w * need
+        if bound >= search.best:
+            return True
+    return False

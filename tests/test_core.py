@@ -23,6 +23,7 @@ from keyhorn import (
     canonical_sorted,
     hamiltonian_formula,
     measure_size,
+    normalize,
     procedure1,
     procedure2,
     verify_against_family,
@@ -441,6 +442,16 @@ class TestPropagator:
 
 
 class TestKeyHornInstance:
+    @pytest.mark.parametrize("order", [1, -1], ids=["own-universe-first", "other-universe-first"])
+    def test_body_over_another_universe_in_a_mixed_family(self, order):
+        # the universe is checked before the canonical sort, whose comparator
+        # would report only the two universe sizes
+        fam = [VarSet(3, [1]), VarSet(4, [2])][::order]
+        for build in (KeyHornInstance, normalize):
+            with pytest.raises(UniverseMismatchError) as err:
+                build(3, fam)
+            assert str(err.value) == "body over universe 4, instance over 3"
+
     def test_stats(self):
         assert (TRIANGLE.n, TRIANGLE.m, TRIANGLE.k, TRIANGLE.delta) == (3, 3, 2, 2)
         assert TRIANGLE.is_normalized

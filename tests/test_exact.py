@@ -8,7 +8,9 @@ from keyhorn import (
     MEASURES,
     NoBodyInSourceError,
     SearchLimitError,
+    TrivialInstance,
     VarSet,
+    gen_projective,
     lambda_formula,
     lower_bound,
     measure_size,
@@ -30,7 +32,9 @@ from helpers import (
     counting,
     forward_chain_trace,
     random_instances,
+    random_sperner_instance,
     random_subset,
+    ref_deficit_cut,
 )
 
 TRIANGLE = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3]), VarSet(3, [1, 3])])
@@ -437,6 +441,86 @@ class TestClauseSearchMatchesReference:
             counts.append(search.ticks)
         assert tuple(counts) == ticks
         assert all(c <= u for c, u in zip(counts, uncut))
+
+    def test_projective_d2_optima_and_node_counts_are_pinned(self):
+        # the paper's gap family at d = 2: 14 bodies, where the pool members
+        # have 6; how the deficit cut is computed may not move its counts
+        p = gen_projective(2)
+        inst, _rec = normalize(p.n, p.bodies)
+        assert (inst.n, inst.m, sum(inst.n - len(b) for b in inst.bodies)) == (7, 14, 56)
+        res = opt_exact_all(inst, max_candidates=100, measures=(Measure.C, Measure.L))
+        assert (res[Measure.C].size, res[Measure.L].size) == (14, 56)
+        assert res[Measure.C].optimal and res[Measure.L].optimal
+        search = exact._ClauseSearch(inst, None)
+        counts = []
+        for weights, mu in (([1] * inst.m, Measure.C), ([len(b) + 1 for b in inst.bodies], Measure.L)):
+            search.run(weights, cycle_incumbent(inst, mu))
+            counts.append(search.ticks)
+        assert counts == [2057, 2057]
+
+    def test_deficit_cut_matches_reference(self, monkeypatch):
+        # the cut reads need_i from per-head tables: once the bits of
+        # B_j \ B_i below v are heads, its deficit is its bits at v or
+        # above; at random nodes it decides as the rescan of every
+        # difference mask (``helpers.ref_deficit_cut``) does
+        rng = random.Random(6800)
+        instances = []
+        while len(instances) < 150:
+            raw = random_sperner_instance(rng, rng.randint(3, 11), rng.randint(2, 10))
+            try:
+                instances.append(normalize(raw.n, raw.bodies)[0])
+            except TrivialInstance:
+                continue
+        nodes = leaves = 0
+        outcomes = set()
+        for inst in instances:
+            search = exact._ClauseSearch(inst, None)
+            for weights in ([1] * inst.m, [len(b) + 1 for b in inst.bodies]):
+                search.run(weights, 0)  # below incumbent 0 a run only orders the options
+                opts = search.head_options
+                for _ in range(8):
+                    # half the nodes lie within three heads of the leaves,
+                    # where the cheapest leaf below is quick to find
+                    v = rng.randrange(0 if rng.random() < 0.5 else max(0, inst.n - 3), inst.n)
+                    heads, cost = [0] * inst.m, 0
+                    for u in range(v):
+                        w, combo, _mask = rng.choice(opts[u] if rng.random() < 0.5 else opts[u][: inst.m])
+                        heads, cost = with_head(heads, combo, u), cost + w
+                    # every body without u taking head u completes the node
+                    top = cost + sum(o[-1][0] for o in opts[v:]) + 1
+                    bests = [float("inf"), rng.randint(cost, top)]
+                    if inst.n - v <= 3:
+                        search.heads_of, search.best, search.best_heads = list(heads), top, None
+                        search._dfs(v, cost)
+                        if search.best_heads is not None:
+                            bests.append(search.best)
+                            leaves += 1
+                    search.heads_of = heads
+                    for search.best in bests:
+                        cut = search._deficit_cut(v, cost)
+                        assert cut == ref_deficit_cut(search, v, cost)
+                        outcomes.add(cut)
+                    nodes += 1
+        assert nodes >= 2000 and leaves > 500
+        assert outcomes == {True, False}
+        # with the reference in place, whole runs give the same leaves and
+        # visit the same nodes (on the families of up to 36 candidates,
+        # which the rescan searches within seconds)
+        small = [inst for inst in instances if sum(inst.n - len(b) for b in inst.bodies) <= 36]
+        assert len(small) >= 100
+
+        def runs():
+            out = []
+            for inst in small:
+                search = exact._ClauseSearch(inst, None)
+                for weights, mu in (([1] * inst.m, Measure.C), ([len(b) + 1 for b in inst.bodies], Measure.L)):
+                    search.run(weights, cycle_incumbent(inst, mu))
+                    out.append((search.best, search.best_heads, search.ticks))
+            return out
+
+        with_tables = runs()
+        monkeypatch.setattr(exact._ClauseSearch, "_deficit_cut", ref_deficit_cut)
+        assert runs() == with_tables
 
     def test_child_test_passes_exactly_feasible_options(self):
         # at a random node that has a feasible completion, an option for its
