@@ -128,7 +128,7 @@ def lower_bound_partition_c(inst: KeyHornInstance) -> int:
     """
     if inst.m < 2:
         raise ValueError("partition bound needs at least two bodies")
-    return sum(body_graph_c(inst).cheapest_arcs())
+    return sum(body_graph_c(inst).row_minima)
 
 
 def _verified(formula: HornCNF, inst: KeyHornInstance) -> HornCNF:

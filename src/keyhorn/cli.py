@@ -524,7 +524,7 @@ def cmd_mwscs(args) -> int:
     g = body_graph_c(inst)
     arcs, weight = mwscs_2approx(g)
     # a single body is strongly connected on its own and has no entering arc
-    entering = g.cheapest_arcs(entering=True)
+    entering = g.column_minima
     out = {
         "format": 1,
         "version": __version__,

@@ -12,6 +12,7 @@ their ground sets run to hundreds of thousands of elements.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -130,9 +131,6 @@ class ProjectiveInstance:
     bodies: tuple[VarSet, ...]
     certificate: HornCNF
 
-    def instance(self) -> KeyHornInstance:
-        return KeyHornInstance(self.n, self.bodies)
-
     def hyperplane_shifts(self) -> tuple[VarSet, ...]:
         return self.bodies[: self.n]
 
@@ -203,6 +201,27 @@ class SatReductionInstance:
     i.e. a truth assignment.  Evaluating the price is intentionally left to
     the caller: ``ground_n`` runs to hundreds of thousands of elements, so
     even one chain-DP call is expensive.
+
+    The blocks are disjoint, with |T| = tau, |B_j| = beta, |A_j| = alpha and
+    |M| = 8m.  X_i is B_i..B_nv with A_1..A_i and the patterns that make
+    variable i true, Y_i the same with the patterns that make it false;
+    X_0 = source, X_(nv+1) = A_1..A_(nv+1), and z_set adds to X_(nv+1)
+    each clause's own pattern.  The pricing argument's relations hold by
+    construction:
+
+    (i) a clause's eight patterns make each of its variables true in four
+        and false in four, and a variable occurs at most 4 times, so X_i
+        and Y_i hold the same number of patterns, at most 16; X_0 and
+        X_(nv+1) hold none;
+    (ii) |source| = (nv+1)*beta and |z_set| = (nv+1)*alpha + m;
+    (iii) |X_i| = |Y_i| = (nv-i+1)*beta + i*alpha + |X_i & M| for i <= nv,
+        and |X_(nv+1)| = (nv+1)*alpha;
+    (iv) so |X_i| - |X_(i+1)| >= beta - alpha - 16 > alpha, as
+        beta > 2*alpha + 16;
+    (v) X_i adds to X_0..X_(i-1) the block A_i and at most 16 patterns;
+    (vi) X_(i+1) - X_i is A_(i+1) and some patterns, and A_(i+1) lies outside
+        every X_j with j <= i, so no earlier level meets an increment
+        outside the pattern block.
     """
 
     clauses: tuple[tuple[int, int, int], ...]
@@ -222,17 +241,14 @@ class SatReductionInstance:
     def num_vars(self) -> int:
         return len(self.x_sets) - 2
 
-    def instance(self) -> KeyHornInstance:
-        return KeyHornInstance(self.ground_n, self.bodies)
-
 
 def _reduction_parameters(nv: int, m: int) -> tuple[int, int, int]:
-    """Smallest alpha, beta, tau satisfying the three size inequalities that
-    make detours through the gadget blocks always profitable."""
+    """Smallest alpha, beta, tau with alpha**2 > max(m**2, 256(nv+1) +
+    512(nv+1)**2 + 272), beta > 2*alpha + 32(nv+1) + 16 and
+    tau > ((nv+1)*beta + 17) * ((nv+1)*alpha + m): the size inequalities
+    that make detours through the gadget blocks always profitable."""
     bound = max(m * m, 256 * (nv + 1) + 512 * (nv + 1) ** 2 + 16 * 17)
-    alpha = 1
-    while alpha * alpha <= bound:
-        alpha += 1
+    alpha = math.isqrt(bound) + 1
     beta = 2 * alpha + 32 * (nv + 1) + 16 + 1
     tau = ((nv + 1) * beta + 17) * ((nv + 1) * alpha + m) + 1
     return alpha, beta, tau
@@ -275,24 +291,22 @@ def gen_sat_reduction(clauses: Sequence[Sequence[int]]) -> SatReductionInstance:
 
     m = len(cls)
     alpha, beta, tau = _reduction_parameters(nv, m)
-    ground_n = tau + (nv + 1) * beta + (nv + 1) * alpha + 8 * m
 
     def block(start: int, size: int) -> int:
         return ((1 << size) - 1) << start
 
-    t_mask = block(0, tau)
-    b_start = tau
-    b_masks = [block(b_start + j * beta, beta) for j in range(nv + 1)]
-    a_start = b_start + (nv + 1) * beta
-    a_masks = [block(a_start + j * alpha, alpha) for j in range(nv + 1)]
+    a_start = tau + (nv + 1) * beta
     m_start = a_start + (nv + 1) * alpha
+    ground_n = m_start + 8 * m
 
     # pattern (k, j): clause k with literal t complemented iff bit t of j set
     def pattern_bit(k: int, j: int) -> int:
         return 1 << (m_start + 8 * k + j)
 
-    pos_mask = [0] * (nv + 1)  # patterns containing variable v positively
-    neg_mask = [0] * (nv + 1)
+    # per level, the patterns that make its variable true (false); levels 0
+    # and nv + 1 have no variable
+    pos_mask = [0] * (nv + 2)
+    neg_mask = [0] * (nv + 2)
     phi_mask = 0
     for k, lits in enumerate(cls):
         phi_mask |= pattern_bit(k, 0)
@@ -311,103 +325,27 @@ def gen_sat_reduction(clauses: Sequence[Sequence[int]]) -> SatReductionInstance:
     def vs(mask: int) -> VarSet:
         return VarSet.from_mask(ground_n, mask)
 
-    b_suffix = [0] * (nv + 2)  # union of B_j for j >= i
-    for j in range(nv, -1, -1):
-        b_suffix[j] = b_suffix[j + 1] | b_masks[j]
-    a_prefix = [0] * (nv + 3)  # union of A_j for j <= i
-    for j in range(1, nv + 2):
-        a_prefix[j] = a_prefix[j - 1] | a_masks[j - 1]
-
-    x_masks = []
-    y_masks = []
-    for i in range(nv + 2):
-        base = b_suffix[i] if i <= nv else 0
-        base |= a_prefix[min(i, nv + 1)]
-        xp = pos_mask[i] if 1 <= i <= nv else 0
-        yn = neg_mask[i] if 1 <= i <= nv else 0
-        x_masks.append(base | xp)
-        y_masks.append(base | yn)
-
-    z_mask = x_masks[nv + 1] | phi_mask
-    source_mask = x_masks[0]
-
-    inst = SatReductionInstance(
+    # level i holds B_i..B_nv and A_1..A_i, two runs of adjacent blocks
+    levels = [
+        block(tau + i * beta, (nv + 1 - i) * beta) | block(a_start, i * alpha)
+        for i in range(nv + 2)
+    ]
+    x_sets = tuple(vs(b | p) for b, p in zip(levels, pos_mask))
+    y_sets = tuple(vs(b | p) for b, p in zip(levels, neg_mask))
+    z_set = vs(levels[nv + 1] | phi_mask)
+    target = vs(block(0, tau))
+    return SatReductionInstance(
         clauses=tuple(cls),
         alpha=alpha,
         beta=beta,
         tau=tau,
         ground_n=ground_n,
         m_block=vs(block(m_start, 8 * m)),
-        x_sets=tuple(vs(x) for x in x_masks),
-        y_sets=tuple(vs(y) for y in y_masks),
-        z_set=vs(z_mask),
-        source=vs(source_mask),
-        target=vs(t_mask),
-        bodies=(
-            (vs(source_mask), vs(z_mask), vs(t_mask))
-            + tuple(
-                vs(mm)
-                for i in range(1, nv + 1)
-                for mm in (x_masks[i], y_masks[i])
-            )
-        ),
+        x_sets=x_sets,
+        y_sets=y_sets,
+        z_set=z_set,
+        source=x_sets[0],
+        target=target,
+        bodies=(x_sets[0], z_set, target)
+        + tuple(s for xy in zip(x_sets[1:-1], y_sets[1:-1]) for s in xy),
     )
-    _validate_reduction(inst)
-    return inst
-
-
-def _validate_reduction(inst: SatReductionInstance) -> None:
-    """Assert the structural relations the pricing argument relies on."""
-    nv = inst.num_vars
-    m = len(inst.clauses)
-    alpha, beta, tau = inst.alpha, inst.beta, inst.tau
-    x, y = inst.x_sets, inst.y_sets
-    mset = inst.m_block
-
-    def fail(msg: str) -> None:
-        raise GenerationError(f"reduction invariant violated: {msg}")
-
-    # parameter inequalities
-    if not alpha * alpha > max(m * m, 256 * (nv + 1) + 512 * (nv + 1) ** 2 + 272):
-        fail("alpha too small")
-    if not beta > 2 * alpha + 32 * (nv + 1) + 16:
-        fail("beta too small")
-    if not tau > ((nv + 1) * beta + 17) * ((nv + 1) * alpha + m):
-        fail("tau too small")
-
-    # (i) pattern overlaps are equal for X_i and Y_i and at most 16
-    for i in range(nv + 2):
-        dx, dy = len(x[i] & mset), len(y[i] & mset)
-        if dx != dy or dx > 16:
-            fail(f"pattern overlap at index {i}: {dx} vs {dy}")
-        if i in (0, nv + 1) and dx != 0:
-            fail("boundary sets must avoid the pattern block")
-    # (ii) boundary sizes
-    if len(inst.source) != (nv + 1) * beta:
-        fail("source size")
-    if len(inst.z_set) != (nv + 1) * alpha + m:
-        fail("z size")
-    # (iii) interior sizes
-    for i in range(nv + 2):
-        want = (nv - i + 1) * beta + i * alpha + len(x[i] & mset)
-        if i == nv + 1:
-            want = (nv + 1) * alpha
-        if len(x[i]) != want or len(y[i]) != want:
-            fail(f"size of level {i}")
-    # (iv) strict size gaps
-    for i in range(nv + 1):
-        if not len(x[i]) > len(x[i + 1]) + alpha:
-            fail(f"size gap at level {i}")
-    # (v) fresh contribution of each level
-    seen = x[0]
-    for i in range(1, nv + 2):
-        fresh = len(x[i] - seen)
-        if not alpha <= fresh <= alpha + 16:
-            fail(f"fresh contribution at level {i}: {fresh}")
-        seen = seen | x[i]
-    # (vi) early levels meet later increments only inside the pattern block
-    for i in range(1, nv + 1):
-        inc = x[i + 1] - x[i]
-        for j in range(i):
-            if not (x[j] & inc).issubset(x[i + 1] & mset):
-                fail(f"level {j} leaks into increment {i + 1}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import ClauseGroup, HornCNF, KeyHornInstance, VarSet
 
@@ -46,11 +47,17 @@ class BodyGraph:
     def m(self) -> int:
         return len(self.nodes)
 
-    def cheapest_arcs(self, entering: bool = False) -> list[int]:
-        """Per node, the least weight of an arc out of it (its row's off-diagonal
-        minimum), or with ``entering`` into it (its column's); 0 for a lone node."""
-        rows = zip(*self.weight) if entering else self.weight
-        return [min(row[:i] + row[i + 1 :], default=0) for i, row in enumerate(rows)]
+    @cached_property
+    def row_minima(self) -> tuple[int, ...]:
+        """Per node, the least weight of an arc out of it (its row's
+        off-diagonal minimum); 0 for a lone node."""
+        return tuple(min(r[:i] + r[i + 1 :], default=0) for i, r in enumerate(self.weight))
+
+    @cached_property
+    def column_minima(self) -> tuple[int, ...]:
+        """Per node, the least weight of an arc into it (its column's
+        off-diagonal minimum); 0 for a lone node."""
+        return tuple(min(c[:i] + c[i + 1 :], default=0) for i, c in enumerate(zip(*self.weight)))
 
 
 @dataclass(frozen=True, eq=True)

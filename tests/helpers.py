@@ -23,6 +23,7 @@ from keyhorn import (
     NoBodyInSourceError,
     NormalizationRecord,
     ProjectiveInstance,
+    SatReductionInstance,
     UniverseMismatchError,
     VarSet,
     VerifyResult,
@@ -610,6 +611,71 @@ def ref_procedure2(inst: KeyHornInstance) -> HornCNF:
         groups.extend(ref_lambda_formula(inst, bodies[x], bodies[s]).formula.groups)
     groups.append(ClauseGroup(bodies[0], bodies[0].complement()))
     return HornCNF(inst.n, groups)
+
+
+# ---------------------------------------------------------------------------
+# The sat3 gadget's relations, re-derived from the built sets: the generator
+# states them once, in ``SatReductionInstance``'s docstring, and checks none.
+# ---------------------------------------------------------------------------
+
+
+def random_3cnf(rng: random.Random, max_vars: int = 6) -> list[tuple[int, int, int]]:
+    """A seeded random 3-CNF that ``gen_sat_reduction`` accepts: three
+    distinct variables per clause, each of 1..nv occurring one to four
+    times."""
+    while True:
+        nv = rng.randint(3, max_vars)
+        occ = dict.fromkeys(range(1, nv + 1), 0)
+        clauses = []
+        for _ in range(rng.randint(-(-nv // 3), 4 * nv // 3)):
+            free = [v for v, c in occ.items() if c < 4]
+            if len(free) < 3:
+                break
+            vs = rng.sample(free, 3)
+            for v in vs:
+                occ[v] += 1
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        if all(occ.values()):
+            return clauses
+
+
+def sat_gadget_violations(r: SatReductionInstance) -> list[str]:
+    """The names of the relations of ``SatReductionInstance``'s docstring,
+    and of ``_reduction_parameters``' inequalities, that ``r`` breaks; []
+    when the gadget is sound."""
+    nv, m = r.num_vars, len(r.clauses)
+    alpha, beta, tau = r.alpha, r.beta, r.tau
+    x, y, mset = r.x_sets, r.y_sets, r.m_block
+    pats = [len(s & mset) for s in x]
+    bad = []
+
+    def check(name: str, holds: bool) -> None:
+        if not holds and name not in bad:
+            bad.append(name)
+
+    check("alpha", alpha * alpha > max(m * m, 256 * (nv + 1) + 512 * (nv + 1) ** 2 + 272))
+    check("beta", beta > 2 * alpha + 32 * (nv + 1) + 16)
+    check("tau", tau > ((nv + 1) * beta + 17) * ((nv + 1) * alpha + m))
+    for i in range(nv + 2):
+        check("(i) overlap", pats[i] == len(y[i] & mset) <= 16)
+    ends = x[0] | y[0] | x[nv + 1] | y[nv + 1]
+    check("(i) boundary overlap", len(ends & mset) == 0)
+    check("(ii) source size", len(r.source) == (nv + 1) * beta)
+    check("(ii) z size", len(r.z_set) == (nv + 1) * alpha + m)
+    for i in range(nv + 2):
+        want = (nv - i + 1) * beta + i * alpha + pats[i] if i <= nv else (nv + 1) * alpha
+        check("(iii) level size", len(x[i]) == len(y[i]) == want)
+    for i in range(nv + 1):
+        check("(iv) gap", len(x[i]) > len(x[i + 1]) + alpha)
+    seen = x[0]
+    for i in range(1, nv + 2):
+        check("(v) fresh", alpha <= len(x[i] - seen) <= alpha + 16)
+        seen = seen | x[i]
+    for i in range(1, nv + 1):
+        inc = x[i + 1] - x[i]
+        for j in range(i):
+            check("(vi) leak", (x[j] & inc).issubset(x[i + 1] & mset))
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from helpers import (
     random_subset,
     random_weight_matrix,
     ref_min_price_into_hyperplane_shifts,
+    sat_gadget_violations,
 )
 
 
@@ -144,7 +145,7 @@ def test_criterion_4_projective_gap_regression():
     t0 = time.perf_counter()
     p = gen_projective(4)
     assert p.n == 31
-    inst = p.instance()
+    inst = KeyHornInstance(p.n, p.bodies)
     assert verify_representation(p.certificate, inst)
     csize = measure_size(p.certificate, Measure.C)
     # the construction lists 3n - d - 1 = 88 clauses, but one clause (the
@@ -183,18 +184,15 @@ def test_criterion_5_sat_reduction_structural_suite():
         [(1, 2, 3), (1, -2, 4)],
         [(1, 2, 3), (-1, 2, 4), (1, -3, 5)],
     ]
-    # the generator validates relations (sizes, gaps, fresh contributions,
-    # pattern overlaps) and the parameter inequalities before returning
     instances = [gen_sat_reduction(f) for f in formulas]
     first = instances[0]
     assert (first.alpha, first.beta, first.tau) == (98, 341, 542_734)
     assert len(first.bodies) == 2 * first.num_vars + 3 == 9
     for r in instances:
-        sizes = [len(x) for x in r.x_sets]
-        assert all(a > b + r.alpha for a, b in zip(sizes, sizes[1:]))
-        assert len(r.source) == (r.num_vars + 1) * r.beta
-        assert len(r.z_set) == (r.num_vars + 1) * r.alpha + len(r.clauses)
-        assert r.instance().m == len(r.bodies)
+        # sizes, gaps, fresh contributions, pattern overlaps, no leaks and
+        # the parameter inequalities, re-derived from the built sets
+        assert sat_gadget_violations(r) == []
+        assert KeyHornInstance(r.ground_n, r.bodies).m == len(r.bodies)
 
     rng = random.Random(50_000)
     for _ in range(10_000):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -22,6 +23,7 @@ from keyhorn.cli import (
     write_bodies,
     write_horn,
 )
+from keyhorn.graph import BodyGraph
 
 from helpers import (
     c_graph_builds,
@@ -409,6 +411,21 @@ class TestOtherCommands:
         builds = c_graph_builds(monkeypatch)
         assert main([argv[0], "--in", tri_file, *argv[1:]]) == 0
         assert len(builds) == 1
+
+    def test_bounds_takes_the_c_row_minima_once(self, tri_file, capsys, monkeypatch):
+        # the C bound and C_partition both sum the kept graph's row minima
+        computed = []
+        real = BodyGraph.row_minima.func
+
+        def row_minima(g):
+            computed.append(g)
+            return real(g)
+
+        kept = functools.cached_property(row_minima)
+        kept.__set_name__(BodyGraph, "row_minima")
+        monkeypatch.setattr(BodyGraph, "row_minima", kept)
+        assert main(["bounds", "--in", tri_file]) == 0
+        assert len(computed) == 1
 
     def test_exact_builds_no_c_graph(self, tri_file, capsys, monkeypatch):
         builds = c_graph_builds(monkeypatch)

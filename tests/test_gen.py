@@ -1,8 +1,11 @@
 import hashlib
+import random
+from collections import Counter
 
 import pytest
 
 from keyhorn import (
+    KeyHornInstance,
     Measure,
     VarSet,
     gen_hydra,
@@ -13,9 +16,9 @@ from keyhorn import (
     verify_representation,
 )
 from keyhorn.cli import write_bodies, write_horn
-from keyhorn.gen import GenerationError
+from keyhorn.gen import GenerationError, _reduction_parameters
 
-from helpers import ref_min_price_into_hyperplane_shifts
+from helpers import random_3cnf, ref_min_price_into_hyperplane_shifts, sat_gadget_violations
 
 
 def single_body_text(n: int) -> str:
@@ -112,7 +115,7 @@ class TestGenProjective:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_certificate(self, d):
         p = gen_projective(d)
-        inst = p.instance()
+        inst = KeyHornInstance(p.n, p.bodies)
         assert verify_representation(p.certificate, inst)
         csize = measure_size(p.certificate, Measure.C)
         # one clause of the interval family duplicates a clause of the full
@@ -181,7 +184,7 @@ class TestGenSatReduction:
 
     def test_instance_is_sperner(self):
         r = gen_sat_reduction([(1, 2, 3)])
-        inst = r.instance()
+        inst = KeyHornInstance(r.ground_n, r.bodies)
         assert inst.m == 9
 
     def test_deterministic(self):
@@ -201,3 +204,34 @@ class TestGenSatReduction:
             gen_sat_reduction([(1, -1, 2)])
         with pytest.raises(GenerationError):
             gen_sat_reduction([(1, 2, 4)])  # variable 3 never occurs
+
+    @pytest.mark.parametrize(
+        "clauses",
+        [
+            # the two formulas the golden digest runs through `gen sat3`
+            [(1, -2, 3), (-1, 2, -3)],
+            [(1, 2, -3), (-1, -2, 3), (2, 3, -1)],
+            # variables 1 and 4 at the four-occurrence limit
+            [(1, 2, 3), (1, -2, 4), (-1, 3, 4), (1, -3, -4)],
+        ],
+        ids=["golden-2", "golden-3", "four-occurrences"],
+    )
+    def test_relations_hold(self, clauses):
+        assert sat_gadget_violations(gen_sat_reduction(clauses)) == []
+
+    def test_relations_hold_on_random_formulas(self):
+        rng = random.Random(27)
+        formulas = [random_3cnf(rng) for _ in range(24)]
+        most = [max(Counter(abs(l) for c in f for l in c).values()) for f in formulas]
+        assert most.count(4) >= 1
+        for f in formulas:
+            assert sat_gadget_violations(gen_sat_reduction(f)) == [], f
+
+    def test_parameters_are_the_smallest_that_satisfy_the_inequalities(self):
+        for nv in range(1, 200, 3):
+            for m in range(1, 300, 7):
+                alpha, beta, tau = _reduction_parameters(nv, m)
+                bound = max(m * m, 256 * (nv + 1) + 512 * (nv + 1) ** 2 + 272)
+                assert alpha * alpha > bound >= (alpha - 1) ** 2
+                assert beta - 1 == 2 * alpha + 32 * (nv + 1) + 16
+                assert tau - 1 == ((nv + 1) * beta + 17) * ((nv + 1) * alpha + m)

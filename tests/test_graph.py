@@ -76,10 +76,12 @@ class TestBodyGraph:
 
     def test_cheapest_arcs_are_off_diagonal_row_and_column_minima(self):
         g = graph_of([[0, 5, 2], [3, 0, 7], [4, 1, 0]])
-        assert g.cheapest_arcs() == [2, 3, 1]
-        assert g.cheapest_arcs(entering=True) == [3, 1, 2]
+        assert g.row_minima == (2, 3, 1)
+        assert g.column_minima == (3, 1, 2)
+        # kept on the graph after the first read
+        assert g.row_minima is g.row_minima and g.column_minima is g.column_minima
         lone = graph_of([[0]])
-        assert lone.cheapest_arcs() == lone.cheapest_arcs(entering=True) == [0]
+        assert lone.row_minima == lone.column_minima == (0,)
 
 
 class TestBodyGraphC:
@@ -209,8 +211,8 @@ class TestProcedure2Chains:
         # (family, whether every arc has a tying detour): on the clique each
         # one does; the others reach both the shortcut and the fallback
         families = [
-            ([gen_projective(3).instance()], False),
-            ([gen_projective(4).instance()], False),
+            ([KeyHornInstance(15, gen_projective(3).bodies)], False),
+            ([KeyHornInstance(31, gen_projective(4).bodies)], False),
             ([self.CLIQUE], True),
             (random_instances(300, 5100, n_range=(3, 8), m_range=(2, 7), k_range=(2, 5)), False),
         ]
@@ -233,7 +235,7 @@ class TestProcedure2Chains:
     def test_procedure2_matches_reference(self):
         for inst in (
             gen_random(120, 24, 16, 5),
-            gen_projective(3).instance(),
+            KeyHornInstance(15, gen_projective(3).bodies),
             self.CLIQUE,
             *random_instances(60, 5200, n_range=(3, 8), m_range=(2, 7), k_range=(2, 5)),
         ):
@@ -294,7 +296,7 @@ class TestBodyGraphLMatchesReference:
         clique = [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
         star = [(1, b) for b in range(2, 12)]
         for inst in (
-            gen_projective(3).instance(),
+            KeyHornInstance(15, gen_projective(3).bodies),
             gen_hydra(clique + [(8, 9), (9, 10)], 10),
             gen_hydra(star, 11),
             gen_random(300, 60, 20, 4100),
