@@ -56,10 +56,6 @@ class VarSet:
             raise ValueError(f"mask has bits outside universe 1..{n}")
         return cls._raw(n, mask)
 
-    @classmethod
-    def full(cls, n: int) -> "VarSet":
-        return cls._raw(n, (1 << n) - 1)
-
     def __len__(self) -> int:
         if self._size is None:
             self._size = self.mask.bit_count()
@@ -201,7 +197,7 @@ class HornCNF:
 
     @classmethod
     def of(cls, n: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> "HornCNF":
-        """Build from (body, heads) element iterables; test/CLI convenience."""
+        """Build from (body, heads) pairs of variable iterables."""
         return cls(n, (ClauseGroup(VarSet(n, b), VarSet(n, h)) for b, h in pairs))
 
     def __eq__(self, other: object) -> bool:

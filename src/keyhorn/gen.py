@@ -100,29 +100,19 @@ _PRIMITIVE_POLY = {
 }
 
 
-def _gf_powers(deg: int) -> list[int]:
-    poly = _PRIMITIVE_POLY[deg]
-    top = 1 << deg
-    out = []
-    e = 1
-    for _ in range(top - 1):
-        out.append(e)
-        e <<= 1
-        if e & top:
-            e ^= poly
-    assert len(set(out)) == top - 1, "polynomial must be primitive"
-    return out
-
-
 @dataclass(frozen=True)
 class ProjectiveInstance:
     """The binary projective-space body family of dimension ``dim``.
 
-    Points are the cyclic group Z_n (n = 2^(dim+1) - 1) via a Singer cycle,
-    stored 1-based.  ``hyperplane`` is the unique hyperplane containing
-    points {0, ..., dim-1}.  ``bodies`` holds all n cyclic shifts of it and
-    of the point window {0, ..., dim}, hyperplane shifts first.
-    ``certificate`` is a representation witnessing a small clause count.
+    Points are the cyclic group Z_n (n = 2^(dim+1) - 1) via a Singer cycle:
+    point i is x^i in GF(2^(dim+1)), stored 1-based as variable i + 1.
+    ``hyperplane`` is the kernel of the x^dim coefficient, the one hyperplane
+    through points {0, ..., dim-1}, and it avoids point dim.  The cycle is
+    transitive on hyperplanes, so the n cyclic shifts of it are all of them.
+    ``bodies`` holds those shifts and the n shifts of the point window
+    {0, ..., dim}, hyperplane shifts first.  ``certificate`` witnesses a small
+    clause count: window 0 implies every point outside it, and shift j of the
+    hyperplane (of the window) implies point dim + j (dim + 1 + j), mod n.
     """
 
     dim: int
@@ -140,48 +130,29 @@ def gen_projective(d: int) -> ProjectiveInstance:
     family: all hyperplane shifts plus all shifts of the first d+1 points."""
     if not 2 <= d <= 6:
         raise GenerationError(f"dimension {d} outside the supported range 2..6")
-    deg = d + 1
-    n = (1 << deg) - 1
-    powers = _gf_powers(deg)
-    # the kernel of the constant-term functional is a hyperplane; the Singer
-    # cycle is transitive on hyperplanes, so its shifts are all of them
-    base = frozenset(i for i, e in enumerate(powers) if e & 1 == 0)
-    assert len(base) == (1 << d) - 1, "a hyperplane has 2^d - 1 points"
+    n = (1 << (d + 1)) - 1
+    # point i is x^i in GF(2^(d+1)), so points 0..d-1 are the monomials
+    # 1, ..., x^(d-1): the one hyperplane through them is the kernel of the
+    # x^d coefficient, and point d (x^d itself) lies outside it
+    hyperplane, e = 0, 1
+    for i in range(n):
+        if not e >> d & 1:
+            hyperplane |= 1 << i
+        e <<= 1
+        if e >> (d + 1):
+            e ^= _PRIMITIVE_POLY[d + 1]
 
-    shifts = [frozenset((p + j) % n for p in base) for j in range(n)]
-    assert len(set(shifts)) == n, "hyperplane shifts must be pairwise distinct"
-    prefix = set(range(d))
-    matches = [s for s in shifts if prefix <= s]
-    assert len(matches) == 1, "exactly one hyperplane contains the first d points"
-    x0 = matches[0]
-    assert d not in x0, "the selected hyperplane avoids point d"
+    def shifts(mask: int) -> list[VarSet]:
+        # shift j moves point p to p + j mod n
+        full = (1 << n) - 1
+        return [VarSet._raw(n, (mask << j | mask >> (n - j)) & full) for j in range(n)]
 
-    x_shifts = [frozenset((p + j) % n for p in x0) for j in range(n)]
-    interval0 = frozenset(range(d + 1))
-    d_shifts = [frozenset((p + j) % n for p in interval0) for j in range(n)]
-
-    def to_vs(points: frozenset[int]) -> VarSet:
-        return VarSet(n, (p + 1 for p in points))
-
-    bodies = tuple(to_vs(s) for s in x_shifts) + tuple(to_vs(s) for s in d_shifts)
-
-    groups = [ClauseGroup(to_vs(interval0), to_vs(interval0).complement())]
-    for j in range(n):
-        groups.append(
-            ClauseGroup(to_vs(x_shifts[j]), VarSet(n, ((d + j) % n + 1,)))
-        )
-    for j in range(n):
-        groups.append(
-            ClauseGroup(to_vs(d_shifts[j]), VarSet(n, ((d + 1 + j) % n + 1,)))
-        )
-    certificate = HornCNF(n, groups)
-
+    hyperplanes, windows = shifts(hyperplane), shifts((1 << (d + 1)) - 1)
+    groups = [ClauseGroup(windows[0], windows[0].complement())]
+    groups += [ClauseGroup(b, h) for b, h in zip(hyperplanes, shifts(1 << d))]
+    groups += [ClauseGroup(b, h) for b, h in zip(windows, shifts(1 << (d + 1)))]
     return ProjectiveInstance(
-        dim=d,
-        n=n,
-        hyperplane=to_vs(x0),
-        bodies=bodies,
-        certificate=certificate,
+        d, n, hyperplanes[0], tuple(hyperplanes + windows), HornCNF(n, groups)
     )
 
 

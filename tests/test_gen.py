@@ -16,7 +16,7 @@ from keyhorn import (
     verify_representation,
 )
 from keyhorn.cli import write_bodies, write_horn
-from keyhorn.gen import GenerationError, _reduction_parameters
+from keyhorn.gen import _PRIMITIVE_POLY, GenerationError, _reduction_parameters
 
 from helpers import random_3cnf, ref_min_price_into_hyperplane_shifts, sat_gadget_violations
 
@@ -96,7 +96,22 @@ class TestGenProjective:
             for b in shifts[i + 1 :]:
                 assert len(a & b) == 1
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("deg", sorted(_PRIMITIVE_POLY))
+    def test_polynomials_are_primitive(self, deg):
+        # x has order 2^deg - 1 modulo the polynomial, so its powers run
+        # through every nonzero element of GF(2^deg) before returning to 1
+        poly = _PRIMITIVE_POLY[deg]
+        assert poly >> deg == 1
+        e = 1
+        for order in range(1, 1 << deg):
+            e <<= 1
+            if e >> deg:
+                e ^= poly
+            if e == 1:
+                break
+        assert e == 1 and order == (1 << deg) - 1
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_shift_structure(self, d):
         p = gen_projective(d)
         n = (1 << (d + 1)) - 1
@@ -108,8 +123,10 @@ class TestGenProjective:
         for i, a in enumerate(shifts):
             for b in shifts[i + 1 :]:
                 assert len(a & b) == meet
-        # the base hyperplane holds points 0..d-1 and avoids point d
-        assert all(v in p.hyperplane for v in range(1, d + 1))
+        # the base hyperplane is the one shift through points 0..d-1, and it
+        # avoids point d
+        prefix = VarSet(n, range(1, d + 1))
+        assert [s for s in shifts if prefix.issubset(s)] == [p.hyperplane]
         assert (d + 1) not in p.hyperplane
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -154,8 +171,8 @@ class TestGenProjective:
         ],
     )
     def test_bodies_and_certificate_pinned(self, d, digest):
-        # recorded from the trace-zero construction; any base hyperplane
-        # whose shifts are the same set gives the same files
+        # the bodies and certificate files that `gen projective --d D` writes;
+        # any change to the construction or to its output order shows here
         p = gen_projective(d)
         text = write_bodies(p.n, p.bodies) + write_horn(p.certificate)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
