@@ -244,13 +244,13 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
 # Minimum spanning arborescence (Edmonds/Chu-Liu via cycle contraction)
 # ---------------------------------------------------------------------------
 
-# ``_min_arborescence`` is the one routine that chooses an arborescence, and
-# it serves only rooted calls: ``min_in_arborescence`` and the in- and
-# out-arborescences of ``mwscs_2approx``.  An unrooted ``min_in_arborescence``
-# first picks its root with ``_root_weights`` and then makes one rooted call.
-# The routine contracts level by level, without recursion, on dense per-head
-# columns of the current level only, and five rules fix its choices (the
-# tie-break contract the reports rely on):
+# ``_Contraction`` is the one routine that chooses an arborescence.  It
+# serves rooted calls through ``_min_arborescence`` (``min_in_arborescence``)
+# and ``_every_root`` (both orientations of ``mwscs_2approx``).  An unrooted
+# ``min_in_arborescence`` first picks its root with ``_root_weights`` and
+# then makes one rooted call.  The routine contracts level by level, without
+# recursion, on dense per-head columns of the current level only, and five
+# rules fix its choices (the tie-break contract the reports rely on):
 #
 # 1. Each head takes its minimum in-arc, ties to the smallest tail id.  The
 #    original nodes keep their ids; supernodes get ids after them in the
@@ -276,52 +276,92 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
 # choose again; every other column keeps its choice, moved to the tail's
 # new position.
 #
-# A level still costs O(k^2) for k current nodes, in merging the cycles'
-# columns and rebuilding every column without the members, and a rooted
-# call can need about m levels (the out-arborescences of ``mwscs_2approx``
-# do), so a call is O(m^3) in the worst case.  Tarjan's O(m^2) branching
-# breaks ties differently and would change which arborescence is chosen,
-# and with it the reports; ``_root_weights`` uses such a tree only for
-# weights, which do not depend on ties.
+# Lemma (shared prefix): a run rooted at r makes exactly the levels of the
+# root-free run, where every node has a column and no node is coloured
+# first, up to the first level where the rooted walk's cycle list differs
+# from the root-free one.  Before that level no cycle holds r, so no merge
+# reads r's column, and the rooted run never reads r's choice: the two
+# states differ only in that column.  The lists differ when r's node lies on
+# a cycle, or when colouring r first changes rule 2's discovery order.  The
+# order can change only if the root-free walk through r goes on to close a
+# cycle C and a later walk closes another: the rooted walk stops at r, and
+# C is found at the first later start that is, or whose root-free walk
+# stops at, a node of C or of that walk after r.  The order changes exactly
+# when another cycle is found before that start.  ``_every_root`` runs the
+# root-free levels once and splits each root off at its divergence level:
+# a copy of the state without r's column finishes rooted.
+#
+# A level costs O(k^2) for k current nodes, in merging the cycles' columns
+# and rebuilding every column without the members, and a run can need
+# about m levels, so a rooted call is O(m^3) in the worst case.
+# ``mwscs_2approx`` pays the root-free levels once per orientation, and per
+# root an O(k^2) copy and the levels after its divergence.  On projective
+# d = 4 and 5 the root-free runs do 78-83 % of the in-arborescences' level
+# work (k^2 per level) and 42-45 % of the out-arborescences'.  Tarjan's
+# O(m^2) branching breaks ties differently and would change which
+# arborescence is chosen, and with it the reports; ``_root_weights`` uses
+# such a tree only for weights, which do not depend on ties.
 
 
-def _min_arborescence(cols, root: int) -> list[int]:
-    """Minimum spanning out-arborescence from ``root`` of a complete digraph
-    on ``len(cols)`` nodes, chosen by the five rules above.
+class _Contraction:
+    """The state of one contraction run on a complete digraph: per position
+    of the current level, in ascending node id, the node id, its smallest
+    original member, and its in-column.  ``w[p][q]`` is the weight of the
+    arc from position q (inf for q == p) and ``orig[p][q]`` the original arc
+    behind it, as tail * n + head.  ``pred[p]`` is the position of p's
+    chosen tail and ``bw[p]`` that arc's weight (rule 1).  The root is the
+    one node without a column, and its choice is never read; in a root-free
+    run every node has a column.  ``up`` maps a node id to the supernode it
+    was contracted into, and ``members`` lists per supernode its (member,
+    own arc) pairs."""
 
-    ``cols[h][t]`` is the weight of arc t -> h; ``cols[root]`` and the
-    diagonal are ignored.  Returns the parent (the tail of the chosen in-arc)
-    of every node, -1 for the root.
-    """
-    n = len(cols)
-    inf = float("inf")
-    # Per position of the current level, in ascending node id: the node id,
-    # its smallest original member, and its in-column: w[p][q] is the weight
-    # of the arc from position q (inf for q == p) and orig[p][q] the original
-    # arc behind it, as tail * n + head.  The root has no column.  pred[p] is
-    # the position of p's chosen tail and bw[p] that arc's weight (rule 1).
-    ids = list(range(n))
-    low = list(range(n))
-    w: list = [None] * n
-    orig: list = [None] * n
-    pred = [root] * n
-    bw = [0] * n
-    for h, col in enumerate(cols):
-        if h != root:
-            w[h] = col = list(col)
-            col[h] = inf
-            orig[h] = list(range(h, n * n, n))
-            bw[h] = x = min(col)
-            pred[h] = col.index(x)
-    rp = root  # the root's position
-    up = [-1] * (2 * n)  # node id -> the supernode it was contracted into
-    members: list[list[tuple[int, int]]] = []  # per supernode: (member, own arc)
+    __slots__ = ("n", "ids", "low", "w", "orig", "pred", "bw", "up", "members")
 
-    while True:
-        k = len(ids)
-        color = [0] * k  # 1 on the current walk, 2 done
-        color[rp] = 2
-        cycles = []
+    def __init__(self, cols, root: int):
+        """Rule 1 on every column but ``root``'s; a root of -1 starts a
+        root-free run."""
+        n = self.n = len(cols)
+        inf = float("inf")
+        self.ids = list(range(n))
+        self.low = list(range(n))
+        self.w = w = [None] * n
+        self.orig = orig = [None] * n
+        self.pred = pred = [root] * n
+        self.bw = bw = [0] * n
+        for h, col in enumerate(cols):
+            if h != root:
+                w[h] = col = list(col)
+                col[h] = inf
+                orig[h] = list(range(h, n * n, n))
+                bw[h] = x = min(col)
+                pred[h] = col.index(x)
+        self.up = [-1] * (2 * n)
+        self.members = []
+
+    def rooted_at(self, p: int) -> _Contraction:
+        """A copy of this state rooted at the original node in position p:
+        the copy drops that node's column."""
+        c = object.__new__(_Contraction)
+        c.n = self.n
+        c.ids, c.low, c.pred, c.bw = self.ids[:], self.low[:], self.pred[:], self.bw[:]
+        c.w = [None if q == p else col[:] for q, col in enumerate(self.w)]
+        c.orig = [None if q == p else oc[:] for q, oc in enumerate(self.orig)]
+        c.up, c.members = self.up[:], self.members[:]
+        return c
+
+    def walk(self) -> tuple[list[list[int]], list[int]]:
+        """The level's cycles in rule 2's order, each as its sorted
+        positions, and, for a root-free run, the positions where a run
+        rooted there diverges (the shared-prefix lemma): every cycle member,
+        and each node on a walk that closes a cycle, if another cycle is
+        found before any later walk stops past that node."""
+        k, n = len(self.ids), self.n
+        pred, low = self.pred, self.low
+        color = [2 if col is None else 0 for col in self.w]  # 1 on the current walk, 2 done
+        cycles, split = [], []
+        tail: list[int] = []  # the last cycle-closing walk, up to its cycle
+        depth: dict[int, int] = {}  # position -> its index on that walk
+        reach = 0  # the deepest node of that walk a later walk stopped at
         for x in sorted(range(k), key=lambda p: low[p] or n):
             path = []
             while not color[x]:
@@ -329,12 +369,25 @@ def _min_arborescence(cols, root: int) -> list[int]:
                 path.append(x)
                 x = pred[x]
             if color[x] == 1:
-                cycles.append(sorted(path[path.index(x):]))
+                j = path.index(x)
+                split += tail[reach:]  # rooted there, the last cycle comes after this one
+                tail, reach = path[:j], 0
+                depth = {y: i for i, y in enumerate(path)}
+                cycles.append(sorted(path[j:]))
+                split += path[j:]
+            elif depth.get(x, -1) > reach:
+                reach = depth[x]
             for y in path:
                 color[y] = 2
-        if not cycles:
-            break
+        return cycles, split
 
+    def contract(self, cycles: list[list[int]]) -> None:
+        """Contract the level's cycles into the next level (rules 3 and 4),
+        and choose again where the first lemma above asks (rule 1)."""
+        ids, low, w, orig, pred, bw = self.ids, self.low, self.w, self.orig, self.pred, self.bw
+        n, up, members = self.n, self.up, self.members
+        k = len(ids)
+        inf = float("inf")
         # one merged in-column per cycle, reduced per member, over this level
         for cyc in cycles:
             s = n + len(members)
@@ -370,13 +423,12 @@ def _min_arborescence(cols, root: int) -> list[int]:
             pos[q] = i
         for p in gone:
             del w[p], orig[p], ids[p], low[p], pred[p], bw[p]
-        rp = pos[rp]
         # each cycle as its first member and the rest: ties go to the first
-        split = [(cyc[0], cyc[1:]) for cyc in cycles]
+        parts = [(cyc[0], cyc[1:]) for cyc in cycles]
         for p, (col, oc) in enumerate(zip(w, orig)):
             if col is None:
                 continue
-            for bq, rest in split:
+            for bq, rest in parts:
                 best = col[bq]
                 for q in rest:
                     if col[q] < best:
@@ -395,19 +447,57 @@ def _min_arborescence(cols, root: int) -> list[int]:
                 q = pos[pred[p]]
                 pred[p] = q if q < new else col.index(bw[p])
 
-    parent = [-1] * n
-    stack = [(ids[p], orig[p][pred[p]]) for p in range(len(ids)) if p != rp]
-    while stack:
-        x, a = stack.pop()
-        if x < n:
-            parent[x] = a // n
-            continue
-        y = a % n
-        while up[y] != x:
-            y = up[y]
-        for mem, own in members[x - n]:
-            stack.append((mem, a if mem == y else own))
-    return parent
+    def finish(self) -> list[int]:
+        """Contract until no cycle is left, then expand (rule 5): the
+        parent of every original node, -1 for the root."""
+        while cycles := self.walk()[0]:
+            self.contract(cycles)
+        n, ids, orig, pred, up, members = self.n, self.ids, self.orig, self.pred, self.up, self.members
+        parent = [-1] * n
+        stack = [(ids[p], orig[p][pred[p]]) for p, col in enumerate(self.w) if col is not None]
+        while stack:
+            x, a = stack.pop()
+            if x < n:
+                parent[x] = a // n
+                continue
+            y = a % n
+            while up[y] != x:
+                y = up[y]
+            for mem, own in members[x - n]:
+                stack.append((mem, a if mem == y else own))
+        return parent
+
+
+def _min_arborescence(cols, root: int) -> list[int]:
+    """Minimum spanning out-arborescence from ``root`` of a complete digraph
+    on ``len(cols)`` nodes, chosen by the five rules above.
+
+    ``cols[h][t]`` is the weight of arc t -> h; ``cols[root]`` and the
+    diagonal are ignored.  Returns the parent (the tail of the chosen in-arc)
+    of every node, -1 for the root.
+    """
+    return _Contraction(cols, root).finish()
+
+
+def _every_root(cols) -> list[list[int]]:
+    """``_min_arborescence(cols, r)`` for every root r, in root order, from
+    one root-free run that splits each root off at its divergence level
+    (the shared-prefix lemma above).  Only one split state is alive at a
+    time."""
+    free = _Contraction(cols, -1)
+    n = free.n
+    parents: list = [None] * n
+    left = n
+    while left:
+        cycles, split = free.walk()
+        for p in split:
+            r = free.ids[p]
+            if r < n and parents[r] is None:
+                parents[r] = free.rooted_at(p).finish()
+                left -= 1
+        if left:
+            free.contract(cycles)
+    return parents
 
 
 def _root_weights(cols) -> list[int]:
@@ -506,13 +596,15 @@ def mwscs_2approx(g: BodyGraph) -> tuple[frozenset[tuple[int, int]], int]:
     For each root the union of a minimum in- and a minimum out-arborescence
     is strongly connected and costs at most twice any strongly connected
     subgraph; the best root (by deduplicated union weight, smallest index on
-    ties) is returned.
+    ties) is returned.  Each orientation's m arborescences come from one
+    ``_every_root`` run, so they are exactly the rooted calls' choices.
     """
-    cols = list(zip(*g.weight))  # in-columns of g; its rows give the in-arborescence
+    succs = _every_root(g.weight)  # g's rows are the reversed graph's in-columns
+    parents = _every_root(list(zip(*g.weight)))
 
     def union(r: int) -> tuple[frozenset[tuple[int, int]], int]:
-        arcs = {(x, s) for x, s in enumerate(_min_arborescence(g.weight, r)) if x != r}
-        arcs.update((u, v) for v, u in enumerate(_min_arborescence(cols, r)) if v != r)
+        arcs = {(x, s) for x, s in enumerate(succs[r]) if x != r}
+        arcs.update((u, v) for v, u in enumerate(parents[r]) if v != r)
         return frozenset(arcs), sum(g.weight[u][v] for u, v in arcs)
 
     # min keeps the first root of least weight

@@ -36,6 +36,7 @@ from helpers import (
     ref_best_unrooted_root,
     ref_body_graph_l,
     ref_lambda_formula,
+    ref_mwscs_2approx,
     ref_out_parents,
     ref_procedure2,
     ref_rooted_in_succ,
@@ -463,6 +464,34 @@ class TestArborescenceMatchesReference:
         finally:
             sys.setrecursionlimit(limit)
         arborescence_weight(arb, g)
+
+
+class TestEveryRootMatchesRootedCalls:
+    """``_every_root`` runs the root-free levels once and splits each root
+    off at its divergence level: every root's parent map is the rooted
+    call's, in both orientations, and ``mwscs_2approx`` returns the per-root
+    reference's arc set and weight."""
+
+    @staticmethod
+    def assert_same_as_rooted_calls(g: BodyGraph) -> None:
+        for cols in (g.weight, list(zip(*g.weight))):
+            assert graph._every_root(cols) == [_min_arborescence(cols, r) for r in range(g.m)]
+        assert mwscs_2approx(g) == ref_mwscs_2approx(g)
+
+    def test_tie_heavy_random_graphs(self):
+        rng = random.Random(29)
+        for i in range(290):
+            m = 2 + i % 29
+            g = graph_of(random_weight_matrix(rng, m, hi=(1, 2, 3, 6, 20)[i // 29 % 5]))
+            self.assert_same_as_rooted_calls(g)
+
+    # Where two or more cycles contract at once, colouring a root first can
+    # move a cycle later in rule 2's order without the root being on it: on
+    # d = 4 that splits 17 of the 62 in-arborescence roots off early.
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_projective(self, d):
+        p = gen_projective(d)
+        self.assert_same_as_rooted_calls(body_graph_c(KeyHornInstance(p.n, p.bodies)))
 
 
 class TestMwscs:
