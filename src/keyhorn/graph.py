@@ -245,12 +245,12 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
 # ---------------------------------------------------------------------------
 
 # ``_Contraction`` is the one routine that chooses an arborescence.  It
-# serves rooted calls through ``_min_arborescence`` (``min_in_arborescence``)
-# and ``_every_root`` (both orientations of ``mwscs_2approx``).  An unrooted
-# ``min_in_arborescence`` first picks its root with ``_root_weights`` and
-# then makes one rooted call.  The routine contracts level by level, without
-# recursion, on dense per-head columns of the current level only, and five
-# rules fix its choices (the tie-break contract the reports rely on):
+# makes the one rooted run of ``min_in_arborescence``, whose unrooted form
+# first picks its root with ``_root_weights``, and serves ``_every_root``
+# (both orientations of ``mwscs_2approx``).  It contracts level by level,
+# without recursion, on dense per-head columns of the current level only,
+# and five rules fix its choices (the tie-break contract the reports rely
+# on):
 #
 # 1. Each head takes its minimum in-arc, ties to the smallest tail id.  The
 #    original nodes keep their ids; supernodes get ids after them in the
@@ -278,24 +278,25 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
 #
 # Lemma (shared prefix): a run rooted at r makes exactly the levels of the
 # root-free run, where every node has a column and no node is coloured
-# first, up to the first level where the rooted walk's cycle list differs
-# from the root-free one.  Before that level no cycle holds r, so no merge
-# reads r's column, and the rooted run never reads r's choice: the two
-# states differ only in that column.  The lists differ when r's node lies on
-# a cycle, or when colouring r first changes rule 2's discovery order.  The
-# order can change only if the root-free walk through r goes on to close a
-# cycle C and a later walk closes another: the rooted walk stops at r, and
-# C is found at the first later start that is, or whose root-free walk
-# stops at, a node of C or of that walk after r.  The order changes exactly
-# when another cycle is found before that start.  ``_every_root`` runs the
-# root-free levels once and splits each root off at its divergence level:
-# a copy of the state without r's column finishes rooted.
+# first, up to r's divergence level, the first level where the rooted
+# walk's cycle list differs from the root-free one.  Before that level no
+# cycle holds r, so no merge reads r's column, and the rooted run never
+# reads r's choice: the two states differ only in that column.  So a copy
+# of the root-free state without r's column, taken at or before that level,
+# finishes rooted exactly as the rooted run does.  The lists differ only if
+# r's node lies on a cycle, or lies on a walk that closes a cycle C and
+# another cycle is found after that walk: colouring r first stops the walk
+# at r, the nodes after r are walked again from a later start, and so C
+# can only move behind cycles found after the walk.  ``walk`` names both
+# kinds of node (the closing-walk rule), and ``_every_root`` runs the
+# root-free levels once and splits each root off at the first level that
+# names its node, at or before its divergence level.
 #
 # A level costs O(k^2) for k current nodes, in merging the cycles' columns
 # and rebuilding every column without the members, and a run can need
 # about m levels, so a rooted call is O(m^3) in the worst case.
 # ``mwscs_2approx`` pays the root-free levels once per orientation, and per
-# root an O(k^2) copy and the levels after its divergence.  On projective
+# root an O(k^2) copy and the levels after its split.  On projective
 # d = 4 and 5 the root-free runs do 78-83 % of the in-arborescences' level
 # work (k^2 per level) and 42-45 % of the out-arborescences'.  Tarjan's
 # O(m^2) branching breaks ties differently and would change which
@@ -313,7 +314,13 @@ class _Contraction:
     one node without a column, and its choice is never read; in a root-free
     run every node has a column.  ``up`` maps a node id to the supernode it
     was contracted into, and ``members`` lists per supernode its (member,
-    own arc) pairs."""
+    own arc) pairs.
+
+    ``cols[h][t]`` is the weight of arc t -> h; the root's column and the
+    diagonal are ignored.  ``finish`` returns the minimum spanning
+    out-arborescence from the root, chosen by the five rules above, as the
+    parent (the tail of the chosen in-arc) of every node, -1 for the root.
+    """
 
     __slots__ = ("n", "ids", "low", "w", "orig", "pred", "bw", "up", "members")
 
@@ -351,18 +358,17 @@ class _Contraction:
 
     def walk(self) -> tuple[list[list[int]], list[int]]:
         """The level's cycles in rule 2's order, each as its sorted
-        positions, and, for a root-free run, the positions where a run
-        rooted there diverges (the shared-prefix lemma): every cycle member,
-        and each node on a walk that closes a cycle, if another cycle is
-        found before any later walk stops past that node."""
-        k, n = len(self.ids), self.n
+        positions, and, for a root-free run, positions where a run rooted
+        there may diverge (the shared-prefix lemma): every cycle member, and
+        every node on a walk that closes a cycle when another cycle is found
+        after that walk."""
         pred, low = self.pred, self.low
         color = [2 if col is None else 0 for col in self.w]  # 1 on the current walk, 2 done
         cycles, split = [], []
         tail: list[int] = []  # the last cycle-closing walk, up to its cycle
-        depth: dict[int, int] = {}  # position -> its index on that walk
-        reach = 0  # the deepest node of that walk a later walk stopped at
-        for x in sorted(range(k), key=lambda p: low[p] or n):
+        heads = sorted(range(len(low)), key=low.__getitem__)  # the lows are distinct
+        heads.append(heads.pop(0))  # the head holding node 0 goes last
+        for x in heads:
             path = []
             while not color[x]:
                 color[x] = 1
@@ -370,13 +376,10 @@ class _Contraction:
                 x = pred[x]
             if color[x] == 1:
                 j = path.index(x)
-                split += tail[reach:]  # rooted there, the last cycle comes after this one
-                tail, reach = path[:j], 0
-                depth = {y: i for i, y in enumerate(path)}
+                split += tail  # rooted there, the last cycle may come after this one
+                tail = path[:j]
                 cycles.append(sorted(path[j:]))
                 split += path[j:]
-            elif depth.get(x, -1) > reach:
-                reach = depth[x]
             for y in path:
                 color[y] = 2
         return cycles, split
@@ -468,22 +471,12 @@ class _Contraction:
         return parent
 
 
-def _min_arborescence(cols, root: int) -> list[int]:
-    """Minimum spanning out-arborescence from ``root`` of a complete digraph
-    on ``len(cols)`` nodes, chosen by the five rules above.
-
-    ``cols[h][t]`` is the weight of arc t -> h; ``cols[root]`` and the
-    diagonal are ignored.  Returns the parent (the tail of the chosen in-arc)
-    of every node, -1 for the root.
-    """
-    return _Contraction(cols, root).finish()
-
-
 def _every_root(cols) -> list[list[int]]:
-    """``_min_arborescence(cols, r)`` for every root r, in root order, from
-    one root-free run that splits each root off at its divergence level
-    (the shared-prefix lemma above).  Only one split state is alive at a
-    time."""
+    """``_Contraction(cols, r).finish()`` for every root r, in root order,
+    from one root-free run that splits each root off at the first level
+    where ``walk`` names its node: a cycle member, or a node on a walk that
+    closes a cycle when another cycle is found after that walk (the
+    shared-prefix lemma above).  Only one split state is alive at a time."""
     free = _Contraction(cols, -1)
     n = free.n
     parents: list = [None] * n
@@ -502,7 +495,7 @@ def _every_root(cols) -> list[list[int]]:
 
 def _root_weights(cols) -> list[int]:
     """Weight of the minimum spanning out-arborescence from every root of a
-    complete digraph (``cols`` as for ``_min_arborescence``), read off one
+    complete digraph (``cols`` as for ``_Contraction``), read off one
     root-free contraction tree (Fischetti & Toth 1993).
 
     A path grows by minimum in-arcs; when it closes a cycle, the cycle
@@ -573,7 +566,8 @@ def min_in_arborescence(g: BodyGraph, root: int | None = None) -> InArborescence
     otherwise the minimum over all roots, ties broken by smallest root
     index: ``_root_weights`` reads every root's weight off one contraction
     tree in O(m^2), and the arborescence is then the rooted one for the
-    first root of least weight.  Either way ``_min_arborescence`` runs once.
+    first root of least weight.  Either way one rooted ``_Contraction`` run
+    chooses the arcs.
     """
     m = g.m
     if m == 0:
@@ -586,7 +580,7 @@ def min_in_arborescence(g: BodyGraph, root: int | None = None) -> InArborescence
     if root is None:
         w = _root_weights(g.weight)
         root = w.index(min(w))
-    succ = _min_arborescence(g.weight, root)
+    succ = _Contraction(g.weight, root).finish()
     return InArborescence(root, {x: s for x, s in enumerate(succ) if x != root})
 
 

@@ -33,7 +33,7 @@ from keyhorn import (
 )
 from keyhorn.core import _Propagator
 from keyhorn.exact import _Timeout
-from keyhorn.graph import BodyGraph, _min_arborescence
+from keyhorn.graph import BodyGraph, _Contraction
 from keyhorn.gen import GenerationError
 
 
@@ -451,13 +451,13 @@ def ref_best_unrooted_root(weight) -> int:
 
 def ref_mwscs_2approx(g: BodyGraph) -> tuple[frozenset[tuple[int, int]], int]:
     """``keyhorn.graph.mwscs_2approx`` as it was before it shared the
-    root-free contraction prefix: 2m independent rooted calls, kept verbatim
-    as a differential oracle for its arc set and weight."""
+    root-free contraction prefix: 2m independent rooted ``_Contraction``
+    runs, kept as a differential oracle for its arc set and weight."""
     cols = list(zip(*g.weight))  # in-columns of g; its rows give the in-arborescence
 
     def union(r: int) -> tuple[frozenset[tuple[int, int]], int]:
-        arcs = {(x, s) for x, s in enumerate(_min_arborescence(g.weight, r)) if x != r}
-        arcs.update((u, v) for v, u in enumerate(_min_arborescence(cols, r)) if v != r)
+        arcs = {(x, s) for x, s in enumerate(_Contraction(g.weight, r).finish()) if x != r}
+        arcs.update((u, v) for v, u in enumerate(_Contraction(cols, r).finish()) if v != r)
         return frozenset(arcs), sum(g.weight[u][v] for u, v in arcs)
 
     # min keeps the first root of least weight

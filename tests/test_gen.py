@@ -83,19 +83,6 @@ class TestGenHydra:
 
 
 class TestGenProjective:
-    def test_fano_plane(self):
-        p = gen_projective(2)
-        assert p.n == 7 and len(p.hyperplane) == 3
-        # unique line through the first two points, and it avoids point 2
-        shifts = p.hyperplane_shifts()
-        through = [s for s in shifts if VarSet(7, [1, 2]).issubset(s)]
-        assert len(through) == 1 and through[0] == p.hyperplane
-        assert 3 not in p.hyperplane  # 0-based point 2
-        assert len(set(shifts)) == 7
-        for i, a in enumerate(shifts):
-            for b in shifts[i + 1 :]:
-                assert len(a & b) == 1
-
     @pytest.mark.parametrize("deg", sorted(_PRIMITIVE_POLY))
     def test_polynomials_are_primitive(self, deg):
         # x has order 2^deg - 1 modulo the polynomial, so its powers run

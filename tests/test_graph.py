@@ -21,7 +21,7 @@ from keyhorn import (
     price_c,
 )
 from keyhorn import approx, graph
-from keyhorn.graph import BodyGraph, InArborescence, _min_arborescence, _root_weights, _row_layout
+from keyhorn.graph import BodyGraph, InArborescence, _Contraction, _root_weights, _row_layout
 
 from helpers import (
     arborescence_weight,
@@ -402,7 +402,7 @@ class TestRootWeights:
             assert min_in_arborescence(graph_of(w)).root == ref_best_unrooted_root(w)
 
     def test_unrooted_call_runs_the_routine_once(self, monkeypatch):
-        calls = counting(monkeypatch, graph, "_min_arborescence")
+        calls = counting(monkeypatch, graph, "_Contraction")
         g = body_graph_c(random_instances(1, 1600, n_range=(40, 40), m_range=(12, 12))[0])
         arb = min_in_arborescence(g)
         assert [args[1] for args in calls] == [arb.root]
@@ -412,7 +412,7 @@ def assert_same_choices_as_reference(g: BodyGraph, roots) -> None:
     w = g.weight
     for r in roots:
         assert min_in_arborescence(g, root=r).succ == ref_rooted_in_succ(w, r)
-        parent = _min_arborescence(list(zip(*w)), r)
+        parent = _Contraction(list(zip(*w)), r).finish()
         assert {v: u for v, u in enumerate(parent) if v != r} == ref_out_parents(w, r)
     assert min_in_arborescence(g).root == ref_best_unrooted_root(w)
 
@@ -475,7 +475,7 @@ class TestEveryRootMatchesRootedCalls:
     @staticmethod
     def assert_same_as_rooted_calls(g: BodyGraph) -> None:
         for cols in (g.weight, list(zip(*g.weight))):
-            assert graph._every_root(cols) == [_min_arborescence(cols, r) for r in range(g.m)]
+            assert graph._every_root(cols) == [_Contraction(cols, r).finish() for r in range(g.m)]
         assert mwscs_2approx(g) == ref_mwscs_2approx(g)
 
     def test_tie_heavy_random_graphs(self):
@@ -485,9 +485,9 @@ class TestEveryRootMatchesRootedCalls:
             g = graph_of(random_weight_matrix(rng, m, hi=(1, 2, 3, 6, 20)[i // 29 % 5]))
             self.assert_same_as_rooted_calls(g)
 
-    # Where two or more cycles contract at once, colouring a root first can
-    # move a cycle later in rule 2's order without the root being on it: on
-    # d = 4 that splits 17 of the 62 in-arborescence roots off early.
+    # A root on a walk that closes a cycle, with another cycle found after
+    # that walk, splits off before its node lies on a cycle: on d = 4 that
+    # is 17 of the 62 in-arborescence roots and 2 of the out-roots.
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_projective(self, d):
         p = gen_projective(d)
