@@ -253,24 +253,35 @@ def measure_size(phi: HornCNF, mu: Measure) -> int:
 
 
 class _Propagator:
-    """Counter-based forward chaining over one formula (Dowling & Gallier
-    1984).
+    """Forward chaining over one formula with one watched body variable per
+    group (the watched-literal scheme of Moskewicz et al., "Chaff", DAC 2001).
 
-    Building the variable-to-group incidence ``occ`` once lets many closures
-    over the same formula run in time linear in the formula size each.  Each
-    body has one group: heads added for a body already present join its
-    slot.  ``sizes`` holds each group body's size, so a closure starts its
-    counters by decrementing a copy of it along ``occ`` for the bits of z,
-    not by counting every body outside z.
+    Each body has one group: heads added for a body already present join its
+    slot.  ``watch`` maps a bit position to the groups watching it, and
+    ``watched`` is the mask of positions with a watcher.  A new group watches
+    its body's lowest bit.  A closure visits only the groups watching a bit it
+    reaches: a visited group whose body is not yet covered moves its watch to
+    the lowest unreached bit of its body, and one whose body is covered fires
+    and keeps its watch.  Watches persist across closures and ``add_group``
+    calls, so a closure's cost is the watches it moves, not the body sizes;
+    since a closure moves watches, one propagator serves one thread.
+
+    Why a group fires exactly when its body is covered: a watch only ever
+    moves to a bit of its own body that is not yet reached, and every reached
+    bit that has a watcher is processed, so a group whose body gets covered
+    is visited once its watch is reached, until no unreached bit is left for
+    it to move to.  That needs every watcher kept: a closure that reaches the
+    full set still finishes the watch list it is walking before it returns.
     """
 
-    __slots__ = ("full_mask", "head_masks", "sizes", "occ", "slot")
+    __slots__ = ("full_mask", "head_masks", "body_masks", "watch", "watched", "slot")
 
     def __init__(self, phi: HornCNF):
         self.full_mask = (1 << phi.n) - 1
         self.head_masks: list[int] = []
-        self.sizes: list[int] = []
-        self.occ: dict[int, list[int]] = {}
+        self.body_masks: list[int] = []
+        self.watch: dict[int, list[int]] = {}  # bit position -> watching groups
+        self.watched = 0
         self.slot: dict[int, int] = {}  # body mask -> its group index
         for g in phi.groups:
             self.add_group(g.body.mask, g.heads.mask)
@@ -282,38 +293,46 @@ class _Propagator:
         if gi is not None:
             self.head_masks[gi] |= hmask
             return
-        gi = self.slot[bmask] = len(self.sizes)
+        gi = self.slot[bmask] = len(self.body_masks)
         self.head_masks.append(hmask)
-        self.sizes.append(bmask.bit_count())
-        while bmask:
-            lsb = bmask & -bmask
-            bmask ^= lsb
-            self.occ.setdefault(lsb.bit_length(), []).append(gi)
+        self.body_masks.append(bmask)
+        low = bmask & -bmask
+        self.watch.setdefault(low.bit_length(), []).append(gi)
+        self.watched |= low
 
     def closure_mask(self, zmask: int) -> int:
-        # counts[gi] is the number of body variables of group gi not yet
-        # reached; each reached bit, of z or of a fired group's new heads,
-        # takes its count off once, and a group fires when its count reaches 0.
-        occ = self.occ
-        counts = self.sizes.copy()
+        watch, bodies, heads = self.watch, self.body_masks, self.head_masks
+        full = self.full_mask
+        watched = self.watched
         reached = zmask
         stack = [zmask]
         while stack:
-            if reached == self.full_mask:
-                return reached
-            m = stack.pop()
+            m = stack.pop() & watched
             while m:
                 lsb = m & -m
                 m ^= lsb
-                for gi in occ.get(lsb.bit_length(), ()):
-                    counts[gi] -= 1
-                    if counts[gi] == 0:
-                        new = self.head_masks[gi] & ~reached
+                pos = lsb.bit_length()
+                kept = []
+                for gi in watch.pop(pos):
+                    rem = bodies[gi] & ~reached
+                    if rem:
+                        low = rem & -rem
+                        watch.setdefault(low.bit_length(), []).append(gi)
+                        watched |= low
+                    else:
+                        kept.append(gi)
+                        new = heads[gi] & ~reached
                         if new:
                             reached |= new
-                            if reached == self.full_mask:
-                                return reached
                             stack.append(new)
+                if kept:
+                    watch[pos] = kept
+                else:
+                    watched ^= lsb
+                if reached == full:
+                    self.watched = watched
+                    return reached
+        self.watched = watched
         return reached
 
 

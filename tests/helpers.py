@@ -3,7 +3,7 @@
 The oracles deliberately use different algorithms than the package: spanning
 in-arborescences are enumerated from successor maps, strongly connected
 subgraphs from arborescence pairs, and closures are round-based fixpoints
-rather than the package's counter-based ``_Propagator``.
+rather than the package's watched-variable ``_Propagator``.
 """
 
 from __future__ import annotations

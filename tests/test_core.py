@@ -406,8 +406,9 @@ class TestPropagator:
         assert len(prop.slot) == 3
 
     def test_closures_match_a_naive_fixpoint(self):
-        # the counters start from each body's size, decremented for the bits
-        # of z; the naive fixpoint is the last round of forward_chain_trace
+        # every group is added before the first closure, so each closure but
+        # the first starts from the watches the one before it left; the naive
+        # fixpoint is the last round of forward_chain_trace
         rng = random.Random(8800)
         seen = {"z_holds_a_body": 0, "new_slot": 0, "merged_slot": 0, "full": 0}
         for _ in range(1500):
@@ -438,6 +439,40 @@ class TestPropagator:
                 want = forward_chain_trace(naive, z)[-1]
                 assert prop.closure_mask(z.mask) == want.mask
                 seen["full"] += want.is_full()
+        assert min(seen.values()) > 100, seen
+
+    def test_groups_added_between_closures(self):
+        # as verify_against_family does: a group joins between two closures,
+        # often the entailed ``z -> cl(z) \ z`` of the closure just run, so
+        # each closure walks the watches that the closures and add_group calls
+        # before it left behind
+        rng = random.Random(3100)
+        seen = {"entailed": 0, "new_slot": 0, "merged_slot": 0, "full": 0, "short": 0}
+        for _ in range(400):
+            phi = random_cnf(rng, max_n=9)
+            n = phi.n
+            prop = _Propagator(phi)
+            groups = list(phi.groups)
+            for _ in range(8):
+                z = random_subset(rng, n)
+                if groups and rng.random() < 0.5:
+                    z = z | rng.choice(groups).body
+                want = forward_chain_trace(HornCNF(n, groups), z)[-1]
+                assert prop.closure_mask(z.mask) == want.mask
+                seen["full" if want.is_full() else "short"] += 1
+                if z and not z.is_full() and rng.random() < 0.6:
+                    body, heads = z, want - z
+                    seen["entailed"] += 1
+                elif groups and rng.random() < 0.3:
+                    body = rng.choice(groups).body
+                    heads = random_subset(rng, n) - body
+                    seen["merged_slot"] += 1
+                else:
+                    body = VarSet(n, rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+                    heads = random_subset(rng, n) - body
+                    seen["new_slot"] += body.mask not in prop.slot
+                prop.add_group(body.mask, heads.mask)
+                groups.append(ClauseGroup(body, heads))
         assert min(seen.values()) > 100, seen
 
 
