@@ -41,7 +41,8 @@ from .core import (
     measure_size,
     verify_against_family,
 )
-from .exact import MAX_BODIES, MAX_CANDIDATES, check_cap, check_timeout, opt_exact_all, price_l_exact
+from .exact import MAX_BODIES, MAX_CANDIDATES, OptResult, check_cap, check_timeout
+from .exact import opt_exact_all, price_l_exact
 from .gen import (
     gen_hydra,
     gen_projective,
@@ -237,81 +238,78 @@ def _load(args) -> tuple[int, list[VarSet], dict]:
     return n, raw, head
 
 
-def _measure_list(args) -> list[Measure]:
-    if args.measure != "all":
-        return [Measure(args.measure)]
-    if args.out:
+def _measure_list(args, strategy: str = "auto") -> list[Measure]:
+    """The measures to report, checked against ``--out`` and ``strategy``
+    before the input is read."""
+    measures = list(MEASURES) if args.measure == "all" else [Measure(args.measure)]
+    if args.out and len(measures) > 1:
         raise ValueError("--out needs a single --measure, not 'all'")
-    return list(MEASURES)
+    targets = STRATEGY_TARGETS.get(strategy, MEASURES)
+    if any(mu not in targets for mu in measures):
+        noun = "measures" if len(targets) > 1 else "measure"
+        what = " and ".join(map(str, targets))
+        raise ValueError(f"--strategy {strategy} applies to {noun} {what} only")
+    return measures
 
 
 def _verified_lift(
-    formula: HornCNF, rec: NormalizationRecord, raw: list[VarSet], what: str
+    formula: HornCNF, rec: NormalizationRecord, raw: list[VarSet], lifted: dict
 ) -> HornCNF:
-    """``formula`` lifted back to the input's variables, verified against
-    the input family."""
-    lifted = lift(formula, rec)
-    if not verify_against_family(lifted, rec.original_n, raw):
-        raise VerificationError(f"{what} failed verification")
-    return lifted
+    """``formula`` lifted back to the input's variables and verified against
+    the input family, once per distinct formula: ``lifted`` keeps each one
+    by value, so candidates that build the same formula share it."""
+    if formula not in lifted:
+        phi = lift(formula, rec)
+        if not verify_against_family(phi, rec.original_n, raw):
+            raise VerificationError("lifted formula failed verification")
+        lifted[formula] = phi
+    return lifted[formula]
+
+
+def _single_body(rec: NormalizationRecord, raw: list[VarSet], lifted: dict) -> dict[Measure, int]:
+    """Per measure, the size of a single-body family's one representation,
+    the lift of the empty formula, which is optimal under every measure."""
+    phi = _verified_lift(HornCNF(0), rec, raw, lifted)
+    return {mu: measure_size(phi, mu) for mu in MEASURES}
 
 
 def cmd_minimize(args) -> int:
+    measures = _measure_list(args, args.strategy)
     n, raw, report = _load(args)
-    measures = _measure_list(args)
+    report["input"] = {"n": n, "m": len(raw)}
+    lifted: dict[HornCNF, HornCNF] = {}
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-
-    report["input"] = {"n": n, "m": len(raw)}
-    results_block = {}
-    out_formula: Optional[HornCNF] = None
     try:
-        t1 = time.perf_counter()
         inst, rec = normalize(n, raw)
-        timings["normalize_ms"] = (time.perf_counter() - t1) * 1000
-        report["instance"] = _instance_block(inst)
         t1 = time.perf_counter()
         table = CandidateTable(inst)
-        if args.strategy == "auto":
-            per_measure = {mu: table.best(mu) for mu in measures}
-        else:
-            targets = STRATEGY_TARGETS[args.strategy]
-            if any(mu not in targets for mu in measures):
-                noun = "measures" if len(targets) > 1 else "measure"
-                what = " and ".join(map(str, targets))
-                raise ValueError(f"--strategy {args.strategy} applies to {noun} {what} only")
-            per_measure = {mu: table.score(args.strategy, mu) for mu in measures}
-        timings["minimize_ms"] = (time.perf_counter() - t1) * 1000
-        t1 = time.perf_counter()
-        # keyed by value: candidates that build the same formula lift it once
-        lifted_cache: dict[HornCNF, HornCNF] = {}
-        for mu in measures:
-            res = per_measure[mu]
-            if res.formula not in lifted_cache:
-                lifted_cache[res.formula] = _verified_lift(
-                    res.formula, rec, raw, f"lifted formula for measure {mu}"
-                )
-            lifted = lifted_cache[res.formula]
-            results_block[str(mu)] = _result_block(res, measure_size(lifted, mu))
-            if args.out:
-                out_formula = lifted
-        timings["lift_verify_ms"] = (time.perf_counter() - t1) * 1000
+        per_measure = {
+            mu: table.best(mu) if args.strategy == "auto" else table.score(args.strategy, mu)
+            for mu in measures
+        }
+        t2 = time.perf_counter()
+        timings = {"normalize_ms": t1 - t0, "minimize_ms": t2 - t1}
     except TrivialInstance as triv:
-        phi = _verified_lift(HornCNF(0), triv.record, raw, "trivial representation")
-        report["instance"] = _instance_block(KeyHornInstance(n, [triv.record.removed_core]))
-        for mu in measures:
-            size = measure_size(phi, mu)
-            res = MinimizationResult(phi, size, size, Fraction(1), STRATEGY_EXACT)
-            results_block[str(mu)] = _result_block(res, size)
-        out_formula = phi
-
-    report["results"] = results_block
-    timings["total_ms"] = (time.perf_counter() - t0) * 1000
+        t2 = time.perf_counter()
+        rec = triv.record
+        inst, sizes = KeyHornInstance(n, [rec.anchor]), _single_body(rec, raw, lifted)
+        per_measure = {
+            mu: MinimizationResult(HornCNF(0), sizes[mu], sizes[mu], Fraction(1), STRATEGY_EXACT)
+            for mu in measures
+        }
+    report["instance"] = _instance_block(inst)
+    results = report["results"] = {}
+    for mu in measures:
+        phi = _verified_lift(per_measure[mu].formula, rec, raw, lifted)
+        results[str(mu)] = _result_block(per_measure[mu], measure_size(phi, mu))
+    timings["lift_verify_ms"] = time.perf_counter() - t2
+    timings["total_ms"] = time.perf_counter() - t0
     if args.timings:
-        report["timings_ms"] = {k: round(v, 3) for k, v in timings.items()}
-
-    if args.out and out_formula is not None:
-        _write_file(args.out, write_horn(out_formula))
+        report["timings_ms"] = {k: round(v * 1000, 3) for k, v in timings.items()}
+    # with --out there is exactly one measure (see _measure_list)
+    if args.out:
+        _write_file(args.out, write_horn(phi))
     payload = _dump_json(report)
     if args.report:
         _write_file(args.report, payload)
@@ -345,30 +343,23 @@ def cmd_exact(args) -> int:
     # also for a single-body family, which runs no search
     check_timeout("--timeout", args.timeout)
     check_cap("--max-candidates", args.max_candidates)
-    n, raw, report = _load(args)
     measures = _measure_list(args)
-    results = {}
-    # with --out there is exactly one measure (see _measure_list)
-    witness: Optional[HornCNF] = None
+    n, raw, report = _load(args)
+    lifted: dict[HornCNF, HornCNF] = {}
     try:
         inst, rec = normalize(n, raw)
         all_opt = opt_exact_all(
             inst, max_candidates=args.max_candidates, timeout=args.timeout, measures=measures
         )
-        for mu in measures:
-            res = all_opt[mu]
-            results[str(mu)] = {"opt": res.size, "optimal": res.optimal}
-            if args.out:
-                witness = _verified_lift(res.formula, rec, raw, f"witness for measure {mu}")
     except TrivialInstance as triv:
-        phi = _verified_lift(HornCNF(0), triv.record, raw, "trivial representation")
-        for mu in measures:
-            results[str(mu)] = {"opt": measure_size(phi, mu), "optimal": True}
-        if args.out:
-            witness = phi
-    if witness is not None:
-        _write_file(args.out, write_horn(witness))
+        rec, sizes = triv.record, _single_body(triv.record, raw, lifted)
+        all_opt = {mu: OptResult(sizes[mu], HornCNF(0), True) for mu in measures}
+    results = {str(mu): {"opt": r.size, "optimal": r.optimal} for mu, r in all_opt.items()}
     report["results"] = results
+    # with --out there is exactly one measure (see _measure_list)
+    if args.out:
+        witness = _verified_lift(all_opt[measures[0]].formula, rec, raw, lifted)
+        _write_file(args.out, write_horn(witness))
     sys.stdout.write(_dump_json(report))
     return 0
 
@@ -382,11 +373,9 @@ def cmd_bounds(args) -> int:
         report["instance"] = _instance_block(inst)
         report["lower_bounds"] = bounds
     except TrivialInstance as triv:
-        phi = lift(HornCNF(0), triv.record)
         report["instance"] = {"n": n, "m": 1}
-        report["lower_bounds"] = {
-            str(mu): measure_size(phi, mu) for mu in MEASURES
-        }
+        sizes = _single_body(triv.record, raw, {})
+        report["lower_bounds"] = {str(mu): size for mu, size in sizes.items()}
         report["trivial"] = True
     sys.stdout.write(_dump_json(report))
     return 0
@@ -426,26 +415,13 @@ def cmd_price(args) -> int:
     return 0
 
 
-def _write_or_print(args, body_text: str, stats: Optional[dict]) -> None:
-    if args.out:
-        _write_file(args.out, body_text)
-        if stats is not None:
-            sys.stdout.write(_dump_json(stats))
-    else:
-        sys.stdout.write(body_text)
-
-
 def cmd_gen(args) -> int:
+    stats = None
     if args.kind == "random":
         inst = gen_random(args.n, args.m, args.k, args.seed)
-        text = write_bodies(
-            inst.n,
-            inst.bodies,
-            comment=f"random n={args.n} m={args.m} k={args.k} seed={args.seed}",
-        )
-        _write_or_print(args, text, _instance_block(inst))
-        return 0
-    if args.kind == "hydra":
+        comment = f"random n={args.n} m={args.m} k={args.k} seed={args.seed}"
+        text, stats = write_bodies(inst.n, inst.bodies, comment=comment), _instance_block(inst)
+    elif args.kind == "hydra":
         edges = []
         for pair in args.edges.split():
             a, _, b = pair.partition(",")
@@ -457,13 +433,9 @@ def cmd_gen(args) -> int:
                 ) from None
         inst = gen_hydra(edges, args.n)
         text = write_bodies(inst.n, inst.bodies, comment="hydra")
-        _write_or_print(args, text, None)
-        return 0
-    if args.kind == "projective":
+    elif args.kind == "projective":
         pinst = gen_projective(args.d)
-        text = write_bodies(
-            pinst.n, pinst.bodies, comment=f"projective d={pinst.dim} q=2"
-        )
+        text = write_bodies(pinst.n, pinst.bodies, comment=f"projective d={pinst.dim} q=2")
         stats = {
             "d": pinst.dim,
             "n": pinst.n,
@@ -473,9 +445,7 @@ def cmd_gen(args) -> int:
         }
         if args.cert:
             _write_file(args.cert, write_horn(pinst.certificate))
-        _write_or_print(args, text, stats)
-        return 0
-    if args.kind == "sat3":
+    else:
         clauses = []
         for raw_clause in args.clause:
             try:
@@ -501,11 +471,17 @@ def cmd_gen(args) -> int:
                 "evaluation over it is expensive".format(rinst.ground_n)
             ),
         }
+        text = ""
         if args.out:
-            _write_file(args.out, write_bodies(rinst.ground_n, rinst.bodies, comment="sat3 reduction"))
-        sys.stdout.write(_dump_json(stats))
-        return 0
-    raise ValueError(f"unknown generator {args.kind!r}")
+            text = write_bodies(rinst.ground_n, rinst.bodies, comment="sat3 reduction")
+    if args.out:
+        _write_file(args.out, text)
+    # stdout gets the family, or its stats once the family went to a file;
+    # sat3's ground sets are too large to print, so it always prints its stats
+    if args.out or args.kind == "sat3":
+        text = "" if stats is None else _dump_json(stats)
+    sys.stdout.write(text)
+    return 0
 
 
 def _detect_projective(inst: KeyHornInstance):
@@ -521,6 +497,9 @@ def _detect_projective(inst: KeyHornInstance):
 def cmd_mwscs(args) -> int:
     n, raw, _head = _load(args)
     inst = KeyHornInstance(n, raw)
+    pinst = _detect_projective(inst)
+    if args.projective_d is not None and (pinst is None or pinst.dim != args.projective_d):
+        raise ValueError("--projective-d given but the input is not that construction")
     g = body_graph_c(inst)
     arcs, weight = mwscs_2approx(g)
     # a single body is strongly connected on its own and has no entering arc
@@ -533,12 +512,6 @@ def cmd_mwscs(args) -> int:
         "arc_count": len(arcs),
         "entering_arc_bound": sum(entering),
     }
-    pinst = _detect_projective(inst)
-    if args.projective_d is not None:
-        if pinst is None or pinst.dim != args.projective_d:
-            raise ValueError(
-                "--projective-d given but the input is not that construction"
-            )
     if pinst is not None:
         # the cheapest arc entering a hyperplane shift, off its column minima
         shifts = set(pinst.hyperplane_shifts())

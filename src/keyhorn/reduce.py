@@ -8,7 +8,9 @@ reduced instance back to the original variables.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .core import ClauseGroup, HornCNF, KeyHornInstance, VarSet
@@ -33,6 +35,20 @@ class NormalizationRecord:
     def original_n(self) -> int:
         return self.removed_core.n
 
+    @cached_property
+    def _runs(self) -> tuple[list[int], list[int], list[int]]:
+        """``var_map``'s runs of consecutive ids as three lists, lowest run
+        first: first original bits, first reduced bits and lengths.  Since
+        ``var_map[j] - j`` is constant on a run, bisection finds its end."""
+        vm, orig, red, lengths, r = self.var_map, [], [], [], 0
+        while r < len(vm):
+            end = bisect_right(range(len(vm)), vm[r] - r, lo=r, key=lambda j: vm[j] - j)
+            orig.append(vm[r] - 1)
+            red.append(r)
+            lengths.append(end - r)
+            r = end
+        return orig, red, lengths
+
 
 class TrivialInstance(Exception):
     """Single-body family: removing the core empties the body.
@@ -45,6 +61,22 @@ class TrivialInstance(Exception):
     def __init__(self, record: NormalizationRecord):
         super().__init__(f"single-body family over {record.original_n} variables")
         self.record = record
+
+
+def _remap(mask: int, src: list[int], dst: list[int], lengths: list[int]) -> int:
+    """``mask``, each of whose set bits lies in a run, with every run moved
+    from its ``src`` bit to its ``dst`` bit.  Each step moves the run of the
+    lowest bit left with a few big-int operations, so a set costs one step
+    per run it meets, however long the runs are, for any n."""
+    out = 0
+    while mask:
+        low = (mask & -mask).bit_length() - 1
+        k = bisect_right(src, low) - 1
+        assert src[k] <= low < src[k] + lengths[k], f"bit {low} lies in no run"
+        run = ((1 << lengths[k]) - 1) << src[k]
+        out |= (mask & run) >> src[k] << dst[k]
+        mask &= ~run
+    return out
 
 
 def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, NormalizationRecord]:
@@ -73,13 +105,8 @@ def normalize(n: int, bodies: Iterable[VarSet]) -> tuple[KeyHornInstance, Normal
     )
     if len(minimal) == 1:
         raise TrivialInstance(rec)
-    pos = {orig: i + 1 for i, orig in enumerate(var_map)}
-    n_red = len(var_map)
-
-    reduced = [
-        VarSet(n_red, (pos[v] for v in b if pos.get(v) is not None))
-        for b in minimal
-    ]
+    (orig, red, lengths), n_red = rec._runs, len(var_map)
+    reduced = [VarSet._raw(n_red, _remap(b.mask & ~core, orig, red, lengths)) for b in minimal]
     inst = KeyHornInstance(n_red, reduced)
     assert inst.is_normalized
     return inst, rec
@@ -98,11 +125,11 @@ def lift(phi_reduced: HornCNF, rec: NormalizationRecord) -> HornCNF:
             f"formula universe {phi_reduced.n} does not match the record's "
             f"{len(rec.var_map)} reduced variables"
         )
-    n = rec.original_n
-    core = rec.removed_core
+    n, core = rec.original_n, rec.removed_core
+    orig, red, lengths = rec._runs
 
     def unmap(s: VarSet) -> VarSet:
-        return VarSet(n, (rec.var_map[v - 1] for v in s))
+        return VarSet._raw(n, _remap(s.mask, red, orig, lengths))
 
     groups = [
         ClauseGroup(unmap(g.body) | core, unmap(g.heads)) for g in phi_reduced.groups

@@ -258,6 +258,39 @@ class TestMinimizeCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "text", [TRIANGLE_TEXT, "p keyhorn 3 1\n1 2\n", None], ids=["triangle", "one", "missing"]
+    )
+    def test_strategy_is_checked_before_the_input_is_read(self, tmp_path, capsys, text):
+        # the same line for every family, and ahead of a missing --in file
+        p = tmp_path / "in.bodies"
+        if text is not None:
+            p.write_text(text)
+        argv = ["minimize", "--in", str(p), "--measure", "C", "--strategy", "procedure2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "keyhorn: error: --strategy procedure2 applies to measure L only\n"
+
+    @pytest.mark.parametrize("command", ["minimize", "exact"])
+    def test_out_with_all_is_checked_before_the_input_is_read(self, tmp_path, capsys, command):
+        out = tmp_path / "x.horn"
+        argv = [command, "--in", str(tmp_path / "missing.bodies"), "--measure", "all"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "keyhorn: error: --out needs a single --measure, not 'all'\n"
+        assert not out.exists()
+
+    def test_single_body_timings(self, tmp_path, capsys):
+        # normalize raises at once and nothing is minimized, so only the
+        # result loop and the total are timed
+        p = tmp_path / "one.bodies"
+        p.write_text("p keyhorn 3 1\n1 2\n")
+        assert main(["minimize", "--in", str(p), "--measure", "all", "--timings"]) == 0
+        timings = json.loads(capsys.readouterr().out)["timings_ms"]
+        assert sorted(timings) == ["lift_verify_ms", "total_ms"]
+
     def test_trivial_instance_short_circuit(self, tmp_path, capsys):
         p = tmp_path / "one.bodies"
         p.write_text("p keyhorn 3 1\n1 2\n")
@@ -658,6 +691,24 @@ class TestOtherCommands:
     def test_mwscs_projective_mismatch(self, tri_file, capsys):
         rc = main(["mwscs", "--in", tri_file, "--projective-d", "2"])
         assert rc == 2
+
+    @pytest.mark.parametrize("family, d", [("triangle", 5), ("projective-d2", 3)])
+    def test_mwscs_projective_mismatch_is_found_before_the_graph_work(
+        self, tmp_path, capsys, monkeypatch, family, d
+    ):
+        def unreachable(g):
+            raise AssertionError("mwscs_2approx ran on a rejected input")
+
+        monkeypatch.setattr(cli, "mwscs_2approx", unreachable)
+        p = tmp_path / "in.bodies"
+        pg = gen_projective(2)
+        p.write_text(TRIANGLE_TEXT if family == "triangle" else write_bodies(pg.n, pg.bodies))
+        assert main(["mwscs", "--in", str(p), "--projective-d", str(d)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "keyhorn: error: --projective-d given but the input is not that construction\n"
+        )
 
     @pytest.mark.parametrize(
         "text", ["p keyhorn 3 1\n1 2\n", "p keyhorn 4 2\n1 2\n1 2 3\n"], ids=["one", "superset"]

@@ -11,7 +11,7 @@ import hashlib
 from keyhorn import MEASURES, ClauseGroup, HornCNF, VarSet, gen_projective, gen_random
 from keyhorn.cli import main, parse_bodies, write_bodies, write_horn
 
-GOLDEN_SHA256 = "67ad6199e45a243b60694eb3ac1fd197c3c8e4a31aae71f99671dd5af32a5316"
+GOLDEN_SHA256 = "f54973c7b2ad2ef75b1c0ec9cd438f6f60fdc075408718f532c1cd85060004e0"
 GOLDEN_WITNESS_SHA256 = "e6d0ff7ee8609cb0c00505eeca8454ebece9bd5dc3772eea4ca97c216f096cc7"
 GOLDEN_OTHER_SHA256 = "ab1934f89c1b5113ec8681a5c11d84b76699ee947594f1a773791be7da55c343"
 

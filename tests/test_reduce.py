@@ -229,6 +229,28 @@ class TestLift:
                 assert lift(phi, rec) == ref_lift(phi, rec, fam)
         assert min(seen.values()) >= 50, seen
 
+    def test_matches_per_element_maps_on_wide_gapped_universes(self):
+        # many words wide, uncovered variables at both ends, a core, and
+        # uncovered gaps that split the kept variables into many runs
+        rng = random.Random(32)
+        for _ in range(40):
+            n, lo, hi = rng.randint(150, 600), rng.randint(1, 5), rng.randint(1, 5)
+            middle = range(lo + 1, n - hi + 1)
+            core = rng.sample(middle, rng.randint(1, 3))
+            rest = [v for v in middle if v not in core]
+            fam = [VarSet(n, core + rng.sample(rest, rng.randint(3, 12))) for _ in range(6)]
+            inst, rec = normalize(n, fam)
+            vm = rec.var_map
+            assert rec.removed_core and vm[0] > lo and vm[-1] <= n - hi
+            assert sum(b - a > 1 for a, b in zip(vm, vm[1:])) >= 5
+            pos = {v: i + 1 for i, v in enumerate(vm)}
+            minimal = KeyHornInstance(n, fam).bodies
+            by_element = [VarSet(inst.n, (pos[v] for v in b if v in pos)) for b in minimal]
+            assert inst.bodies == KeyHornInstance(inst.n, by_element).bodies
+            canonical = HornCNF(inst.n, [ClauseGroup(b, b.complement()) for b in inst.bodies])
+            for phi in [canonical] + [r.formula for r in minimize_all(inst).values()]:
+                assert lift(phi, rec) == ref_lift(phi, rec, fam)
+
     def test_lifted_sizes_account_for_core_and_uncovered(self):
         fam = [VarSet(6, [1, 2, 3]), VarSet(6, [1, 2, 4])]
         inst, rec = normalize(6, fam)
