@@ -158,10 +158,6 @@ def parse_horn(text: str) -> HornCNF:
         left, right = line.split("->")
         body = _parse_vars(gl, left.split(), n)
         heads = _parse_vars(gl, right.split(), n)
-        if not body:
-            raise ParseError(gl, "empty body")
-        if not body.isdisjoint(heads):
-            raise ParseError(gl, f"heads intersect body: {sorted(heads & body)}")
         try:
             groups.append(ClauseGroup(body, heads))
         except ValueError as exc:

@@ -33,13 +33,16 @@ class VarSet:
     def __init__(self, n: int, elements: Iterable[int] = ()):
         if n < 0:
             raise ValueError(f"universe size must be nonnegative, got {n}")
-        mask = 0
-        for v in elements:
-            if not 1 <= v <= n:
-                raise ValueError(f"variable {v} out of range 1..{n}")
-            mask |= 1 << (v - 1)
+        vs = list(elements)
+        top = max(vs, default=0)
+        if top > n or vs and min(vs) < 1:
+            v = next(v for v in vs if not 1 <= v <= n)
+            raise ValueError(f"variable {v} out of range 1..{n}")
+        buf = bytearray((top >> 3) + 1)  # bit v holds variable v; bit 0 is shifted out
+        for v in vs:
+            buf[v >> 3] |= 1 << (v & 7)
         self.n = n
-        self.mask = mask
+        self.mask = int.from_bytes(buf, "little") >> 1
         self._size: Optional[int] = None
 
     @classmethod
@@ -161,11 +164,11 @@ class ClauseGroup:
     def __post_init__(self):
         _same_universe(self.body, self.heads)
         if not self.body:
-            raise ValueError("clause body must be nonempty")
+            raise ValueError("empty body")
+        if not self.body.isdisjoint(self.heads):
+            raise ValueError(f"heads intersect body: {sorted(self.heads & self.body)}")
         if self.body.is_full():
             raise ValueError("clause body must not be the full variable set")
-        if not self.body.isdisjoint(self.heads):
-            raise ValueError(f"heads intersect body: {self.heads & self.body!r}")
 
 
 class HornCNF:
@@ -173,22 +176,22 @@ class HornCNF:
 
     Construction canonicalizes: groups with equal bodies are merged by
     uniting their head sets, empty-head groups are dropped, and the result
-    is ordered by (body size, lexicographic body).
+    is ordered by (body size, lexicographic body).  A group whose heads do
+    not grow is kept as the caller's object; a merge that grows them builds one.
     """
 
     __slots__ = ("n", "groups")
 
     def __init__(self, n: int, groups: Iterable[ClauseGroup] = ()):
-        merged: dict[int, int] = {}
+        merged: dict[int, tuple[ClauseGroup, int]] = {}  # body -> (first group, all heads)
         for g in groups:
             if g.body.n != n:
-                raise UniverseMismatchError(
-                    f"group over universe {g.body.n}, formula over {n}"
-                )
-            merged[g.body.mask] = merged.get(g.body.mask, 0) | g.heads.mask
+                raise UniverseMismatchError(f"group over universe {g.body.n}, formula over {n}")
+            first, h = merged.get(g.body.mask, (g, 0))
+            merged[g.body.mask] = first, h | g.heads.mask
         kept = [
-            ClauseGroup(VarSet._raw(n, b), VarSet._raw(n, h))
-            for b, h in merged.items()
+            g if g.heads.mask == h else ClauseGroup(g.body, VarSet._raw(n, h))
+            for g, h in merged.values()
             if h
         ]
         kept.sort(key=cmp_to_key(lambda x, y: x.body.compare(y.body)))

@@ -41,8 +41,8 @@ def gen_random(n: int, m: int, k: int, seed: int) -> KeyHornInstance:
     size at most k over n variables, then normalized.  The same seed always
     yields the same instance.
 
-    Raises :class:`GenerationError` when sampling cannot place m
-    incomparable bodies, or when m == 1.
+    Raises :class:`GenerationError` before sampling when no m incomparable
+    bodies fit, when sampling cannot place them, or when m == 1.
     """
     if n < 2 or m < 1 or k < 1:
         raise GenerationError(f"degenerate parameters n={n} m={m} k={k}")
@@ -50,6 +50,20 @@ def gen_random(n: int, m: int, k: int, seed: int) -> KeyHornInstance:
     hi = min(k, n - 1)
     if hi < lo:
         raise GenerationError(f"no legal body sizes for n={n}, k={k}")
+    # LYM (Lubell 1966): incomparable bodies of sizes lo..hi number at most
+    # the largest C(n, s) there, at the s nearest n/2; multiplied out only
+    # until it reaches m, since C(n - s + i, i) grows with i
+    s = min(max(n // 2, lo), hi)
+    fit = 1
+    for i in range(1, s + 1):
+        if fit >= m:
+            break
+        fit = fit * (n - s + i) // i
+    if fit < m:
+        raise GenerationError(
+            f"cannot place {m} incomparable bodies of size {lo}..{hi} over {n} "
+            f"variables: at most C({n}, {s}) = {fit} fit (LYM inequality)"
+        )
     rng = random.Random(seed)
     masks: list[int] = []
     failures = 0

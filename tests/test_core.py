@@ -108,6 +108,39 @@ class TestVarSet:
                     elems = sorted(set(elems) | {n})
                 assert list(VarSet(n, elems)) == elems
 
+    def test_wide_set_matches_its_mask(self):
+        n = 544_498  # the ground set of `gen sat3 --clause "1 2 -3"`
+        every_other = (4 ** (n // 2) - 1) // 3  # bits 0, 2, ..., n - 2
+        assert VarSet(n, range(1, n + 1, 2)) == VarSet.from_mask(n, every_other)
+        # the top element at each offset in its byte
+        for top in range(n - 9, n + 1):
+            assert VarSet(n, [1, top]).mask == 1 | 1 << (top - 1)
+
+    def test_order_and_duplicates_do_not_change_the_mask(self):
+        rng = random.Random(3)
+        for n in (1, 7, 8, 9, 64, 1000):
+            elems = rng.sample(range(1, n + 1), rng.randint(1, n))
+            want = sum(1 << (v - 1) for v in elems)
+            shuffled = elems[:]
+            rng.shuffle(shuffled)
+            assert VarSet(n, shuffled).mask == want
+            assert VarSet(n, iter(elems + elems[::2])).mask == want
+
+    def test_buffer_is_sized_by_the_largest_element_not_by_n(self):
+        tracemalloc.start()
+        try:
+            assert VarSet(10**9, [1, 2]).mask == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a buffer of n bits is 125 MB
+
+    def test_range_error_names_the_first_bad_element(self):
+        with pytest.raises(ValueError, match=r"^variable 7 out of range 1\.\.5$"):
+            VarSet(5, [2, 7, 0, 9])
+        with pytest.raises(ValueError, match=r"^variable 0 out of range 1\.\.5$"):
+            VarSet(5, (v for v in [3, 0, 9]))
+
     def test_compare_matches_tuple_order(self):
         rng = random.Random(0)
         for _ in range(300):
@@ -132,6 +165,22 @@ class TestClauseGroup:
         with pytest.raises(ValueError):
             ClauseGroup(VarSet(3, [1]), VarSet(3, [1, 2]))
 
+    @pytest.mark.parametrize(
+        "body, heads, message",
+        [
+            ([], [1, 2, 3], "empty body"),
+            ([1, 3], [1, 2, 3], "heads intersect body: [1, 3]"),
+            ([1, 2, 3], [2], "heads intersect body: [2]"),
+            ([1, 2, 3], [], "clause body must not be the full variable set"),
+        ],
+    )
+    def test_rules_are_checked_nonempty_disjoint_then_not_full(self, body, heads, message):
+        with pytest.raises(ValueError) as exc:
+            ClauseGroup(VarSet(3, body), VarSet(3, heads))
+        assert str(exc.value) == message
+        with pytest.raises(UniverseMismatchError):
+            ClauseGroup(VarSet(3, body), VarSet(4, heads))
+
     def test_empty_heads_allowed_in_memory(self):
         g = ClauseGroup(VarSet(3, [1]), VarSet(3, []))
         assert not g.heads
@@ -148,6 +197,40 @@ class TestHornCNF:
     def test_empty_heads_dropped(self):
         phi = HornCNF.of(3, [((1,), ()), ((2,), (3,))])
         assert len(phi.groups) == 1
+
+    @staticmethod
+    def count_checks(monkeypatch) -> list:
+        calls = []
+        check = ClauseGroup.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            check(self)
+
+        monkeypatch.setattr(ClauseGroup, "__post_init__", counted)
+        return calls
+
+    def test_distinct_bodies_keep_the_callers_groups(self, monkeypatch):
+        groups = [ClauseGroup(b, b.complement()) for b in TRIANGLE.bodies[::-1]]
+        groups.append(ClauseGroup(VarSet(3, [1]), VarSet(3)))
+        calls = self.count_checks(monkeypatch)
+        phi = HornCNF(3, groups)
+        assert calls == []
+        assert [id(g) for g in phi.groups] == [id(g) for g in groups[2::-1]]
+
+    def test_a_merged_body_gets_one_checked_group(self, monkeypatch):
+        body = VarSet(5, [1, 2])
+        first, other = ClauseGroup(body, VarSet(5, [3])), ClauseGroup(VarSet(5, [4]), VarSet(5, [5]))
+        repeats = [ClauseGroup(VarSet(5, [1, 2]), VarSet(5, [h])) for h in (4, 5, 3)]
+        calls = self.count_checks(monkeypatch)
+        phi = HornCNF(5, [first, other, *repeats])
+        assert len(calls) == 1 and phi.groups[0] is other
+        assert phi.groups[1] is calls[0] and phi.groups[1].body is body
+        assert sorted(phi.groups[1].heads) == [3, 4, 5]
+        # repeats that add no head keep the first group
+        assert HornCNF(5, [first, repeats[2], first]).groups == (first,)
+        assert HornCNF(5, [first, repeats[2]]).groups[0] is first
+        assert len(calls) == 1
 
     def test_duplicate_merge_never_increases_measures(self):
         dup = HornCNF.of(4, [((1, 2), (3,)), ((1, 2), (3, 4))])

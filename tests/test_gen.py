@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -15,7 +17,7 @@ from keyhorn import (
     measure_size,
     verify_representation,
 )
-from keyhorn.cli import write_bodies, write_horn
+from keyhorn.cli import main, write_bodies, write_horn
 from keyhorn.gen import _PRIMITIVE_POLY, GenerationError, _reduction_parameters
 
 from helpers import random_3cnf, ref_min_price_into_hyperplane_shifts, sat_gadget_violations
@@ -48,6 +50,29 @@ class TestGenRandom:
     def test_infeasible(self):
         with pytest.raises(GenerationError):
             gen_random(3, 4, 1, seed=0)
+
+    def test_request_beyond_the_lym_bound_exits_at_once(self, capsys):
+        start = time.perf_counter()
+        rc = main(["gen", "random", "--n", "30", "--m", "100000", "--k", "3", "--seed", "1"])
+        elapsed = time.perf_counter() - start
+        assert rc == 2 and elapsed < 1
+        assert capsys.readouterr().err == (
+            "keyhorn: error: cannot place 100000 incomparable bodies of size 2..3 "
+            "over 30 variables: at most C(30, 3) = 4060 fit (LYM inequality)\n"
+        )
+
+    def test_request_at_the_lym_bound_succeeds(self):
+        # every pair of 4 variables: C(4, 2) = 6 bodies exactly
+        inst = gen_random(4, 6, 2, seed=1)
+        assert inst.m == 6 and {len(b) for b in inst.bodies} == {2}
+        with pytest.raises(GenerationError, match=r"at most C\(4, 2\) = 6 fit"):
+            gen_random(4, 7, 2, seed=1)
+
+    @pytest.mark.parametrize("n, m, k, s", [(10**6, 10**40, 2, 2), (100, 10**40, 10**9, 50), (9, 200, 7, 4)])
+    def test_lym_bound_is_the_largest_binomial_in_the_size_range(self, n, m, k, s):
+        with pytest.raises(GenerationError) as exc:
+            gen_random(n, m, k, seed=1)
+        assert str(exc.value).endswith(f"at most C({n}, {s}) = {math.comb(n, s)} fit (LYM inequality)")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_single_body_is_a_generation_error(self, seed):
