@@ -99,12 +99,19 @@ def body_graph_c(inst: KeyHornInstance) -> BodyGraph:
     """Complete body graph under the clause-count arc costs: the weight of
     i -> j is |B_j \\ B_i|.  It is the one pairwise table an instance
     counts; the partition bound and ``body_graph_l`` are derived from it.
+    Each pair's intersection is counted once and serves both of its arcs.
     It is built on the first call and kept on the instance."""
     if inst._graph_c is None:
         masks = [b.mask for b in inst.bodies]
         sizes = [len(b) for b in inst.bodies]
+        # |B_i & B_j| for j > i, one popcount per pair
+        upper = [[(a & b).bit_count() for b in masks[i + 1 :]] for i, a in enumerate(masks)]
+        # row i of |B_i & B_j|: the mirror of column i, |B_i| itself, then its upper row
+        common = [
+            [upper[j][i - j - 1] for j in range(i)] + [sizes[i]] + upper[i] for i in range(len(masks))
+        ]
         # |B_j| - |B_i & B_j|, which is 0 on the diagonal
-        weight = tuple(tuple(s - (a & b).bit_count() for s, b in zip(sizes, masks)) for a in masks)
+        weight = tuple(tuple([s - c for s, c in zip(sizes, row)]) for row in common)
         inst._graph_c = BodyGraph(inst.bodies, weight)
     return inst._graph_c
 
@@ -181,15 +188,20 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
     cost: Pj+1 \\ (s | Pj-1) lies in (Pj \\ (s | Pj-1)) | (Pj+1 \\ (s | Pj)),
     and the shortcut pays |Pj-1| + 1 <= |Pj| + 1 for each of its variables.
     So some cheapest chain has strictly decreasing intermediate sizes, all
-    below |B_i|, and one relaxation from each smaller body in decreasing size
-    order (a DAG, no heap) gives the exact distances.  Relaxing between
-    bodies of equal size is harmless: every candidate is a real chain.
+    below |B_i|, and relaxing from each smaller body once, one size class at
+    a time in decreasing size (a DAG, no heap), gives the exact distances.
+    A body's distance is final when its class starts, since only strictly
+    larger intermediates lead to it, so the class's distances are read once,
+    at its start; a relaxation between bodies of equal size is harmless,
+    since every candidate is a real chain.
 
     Identity: with C the clause-count graph ``body_graph_c(inst)``, row i of
     C is |B_v \\ B_i| over v, the direct arcs up to the factor |B_i| + 1, and
-    |B_v \\ (B_i | B_u)| = C[i][v] + C[u][v] - |B_v| + |B_u & B_v & B_i|.  The
-    triple term, nonzero only for bodies sharing a variable of B_u & B_i, is
-    added through per-variable holder lists.
+    |B_v \\ (B_i | B_u)| = C[i][v] + C[u][v] - |B_v| + |B_u & B_v & B_i|.  So
+    a relaxation from u in class s adds (s + 1) * C[u], kept per body, and
+    (s + 1) * (C[i][v] - |B_v|), kept per class; the triple term, nonzero
+    only for bodies sharing a variable of B_u & B_i, is added from
+    per-variable holder sums only when B_u meets B_i.
     """
     bodies = inst.bodies
     m = inst.m
@@ -208,34 +220,46 @@ def body_graph_l(inst: KeyHornInstance) -> BodyGraph:
 
     ones = pack([1] * m)
     guard = ones << (w - 1)
-    field = (1 << w) - 1
     packed_sizes = pack(sizes)
     outside = [pack(row) for row in body_graph_c(inst).weight]  # row i: |B_v \ B_i|
-    units = [1 << (v * w) for v in range(m)]
-    holders: dict[int, list[int]] = {}  # variable -> the units of the bodies holding it
+    scaled = [(s + 1) * row for s, row in zip(sizes, outside)]  # (|B_u| + 1) * C[u]
+    held: dict[int, int] = {}  # variable -> the units of the bodies holding it, summed
     for v, body in enumerate(bodies):
         for x in body:
-            holders.setdefault(x, []).append(units[v])
-
+            held[x] = held.get(x, 0) + (1 << (v * w))
+    # the size classes, each as (size, first body, the layout of its
+    # fields); canonical order sorts the bodies by size
+    nb = w // 8
+    classes: list[tuple[int, int, struct.Struct]] = []
+    lo = 0
+    for u in range(1, m + 1):
+        if u == m or sizes[u] != sizes[lo]:
+            classes.append((sizes[lo], lo, struct.Struct(f"<{u - lo}{layout.format[-1]}")))
+            lo = u
     weight_rows = []
-    smaller = 0  # canonical order: bodies[:smaller] are the ones smaller than B_i
+    below = 0  # classes[:below] hold the bodies smaller than B_i
     for i in range(m):
-        while sizes[smaller] < sizes[i]:
-            smaller += 1
+        while below < len(classes) and classes[below][0] < sizes[i]:
+            below += 1
         dist = (sizes[i] + 1) * outside[i]
         rest = outside[i] - packed_sizes  # C[i][v] - |B_v|
-        for u in range(smaller - 1, -1, -1):
-            du = (dist >> (u * w)) & field
-            triple = 0
-            common = masks[u] & masks[i]
-            while common:
-                bit = common & -common
-                common ^= bit
-                triple += sum(holders[bit.bit_length()])  # the variable at bit
-            cand = du * ones + (sizes[u] + 1) * (outside[u] + rest + triple)
-            # fields where dist >= cand keep their guard bit; take cand there
-            ge = ((dist | guard) - cand) & guard
-            dist ^= (dist ^ cand) & (ge - (ge >> (w - 1)))
+        mask = masks[i]
+        for s, lo, fields in reversed(classes[:below]):
+            srest = (s + 1) * rest
+            row = dist.to_bytes(layout.size, "little")
+            for u, du in enumerate(fields.unpack_from(row, lo * nb), lo):
+                cand = du * ones + scaled[u] + srest
+                common = masks[u] & mask
+                if common:
+                    triple = 0
+                    while common:
+                        bit = common & -common
+                        common ^= bit
+                        triple += held[bit.bit_length()]  # the variable at bit
+                    cand += (s + 1) * triple
+                # fields where dist >= cand keep their guard bit; take cand there
+                ge = ((dist | guard) - cand) & guard
+                dist ^= (dist ^ cand) & (ge - (ge >> (w - 1)))
         weight_rows.append(layout.unpack(dist.to_bytes(layout.size, "little")))
     return BodyGraph(bodies, tuple(weight_rows))
 

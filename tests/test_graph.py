@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,15 @@ class TestBodyGraphC:
         inst = KeyHornInstance(3, [VarSet(3, [1, 2])])
         g = body_graph_c(inst)
         assert g.m == 1 and g.weight == ((0,),)
+
+    def test_every_arc_is_price_c(self):
+        # each pair is counted once, so both triangles and the diagonal come
+        # from the upper triangle's popcounts and their mirror
+        rng = random.Random(4500)
+        for _ in range(300):
+            inst = random_sperner_instance(rng, rng.randint(2, 20), rng.randint(1, 12))
+            g = body_graph_c(inst)
+            assert g.weight == tuple(tuple(price_c(a, b) for b in inst.bodies) for a in inst.bodies)
 
 
 class TestLambdaFormula:
@@ -302,6 +312,40 @@ class TestBodyGraphLMatchesReference:
             gen_hydra(star, 11),
             gen_random(300, 60, 20, 4100),
         ):
+            assert body_graph_l(inst).weight == ref_body_graph_l(inst).weight
+
+    def test_one_size_class(self):
+        # every body has the same size, so nothing is relaxed: each row is
+        # its direct arcs, (|B_i| + 1) * C[i]
+        rng = random.Random(4300)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            size = rng.randint(1, n - 1)
+            fam = {frozenset(rng.sample(range(1, n + 1), size)) for _ in range(rng.randint(1, 15))}
+            inst = KeyHornInstance(n, [VarSet(n, b) for b in fam])
+            weight = body_graph_l(inst).weight
+            assert weight == ref_body_graph_l(inst).weight
+            c = body_graph_c(inst).weight
+            assert weight == tuple(tuple((size + 1) * x for x in row) for row in c)
+
+    def test_several_size_classes_of_three_or_more(self):
+        # every class's fields are read at its own offset, and each class
+        # relaxes with its own size
+        rng = random.Random(4400)
+        families = 0
+        while families < 150:
+            n = rng.randint(8, 16)
+            fam: list[VarSet] = []
+            for size in sorted(rng.sample(range(2, n - 2), rng.randint(2, 4)), reverse=True):
+                for _ in range(rng.randint(3, 6)):
+                    b = VarSet(n, rng.sample(range(1, n + 1), size))
+                    if all(a.mask & ~b.mask and b.mask & ~a.mask for a in fam):
+                        fam.append(b)
+            counts = Counter(len(b) for b in fam)
+            if len(counts) < 2 or min(counts.values()) < 3:
+                continue
+            families += 1
+            inst = KeyHornInstance(n, fam)
             assert body_graph_l(inst).weight == ref_body_graph_l(inst).weight
 
     @staticmethod
