@@ -49,7 +49,6 @@ from .approx import (
     lower_bound,
     lower_bound_partition_c,
     minimize,
-    minimize_all,
     procedure1,
     procedure2,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "measure_size",
     "min_in_arborescence",
     "minimize",
-    "minimize_all",
     "mwscs_2approx",
     "normalize",
     "opt_exact_all",

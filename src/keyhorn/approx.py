@@ -62,8 +62,7 @@ class MinimizationResult:
 
 
 def _ceil_log2(x: int) -> int:
-    if x < 1:
-        raise ValueError("argument must be positive")
+    # x >= 1: callers pass inst.k and inst.n, and core.check_body keeps bodies nonempty
     return (x - 1).bit_length()
 
 
@@ -266,10 +265,3 @@ def minimize(inst: KeyHornInstance, mu: Measure) -> MinimizationResult:
     :meth:`CandidateTable.best`); builds only the candidates ``mu`` needs."""
     return CandidateTable(inst).best(mu)
 
-
-def minimize_all(inst: KeyHornInstance) -> dict[Measure, MinimizationResult]:
-    """All six measures at once, sharing the candidate constructions (and
-    their verifications) across measures.  Per-measure results are identical
-    to calling ``minimize`` separately."""
-    table = CandidateTable(inst)
-    return {mu: table.best(mu) for mu in MEASURES}

@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .approx import (
@@ -38,6 +39,7 @@ from .core import (
     MEASURES,
     VarSet,
     VerificationError,
+    check_body,
     measure_size,
     verify_against_family,
 )
@@ -70,27 +72,27 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield lineno, line
+_INT = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_vars(lineno: int, tokens: Sequence[str], n: int) -> VarSet:
-    seen = set()
-    for tok in tokens:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(lineno, f"not an integer: {tok!r}")
-        if not 1 <= v <= n:
-            raise ParseError(lineno, f"variable {v} out of range 1..{n}")
-        if v in seen:
-            raise ParseError(lineno, f"duplicate variable {v}")
-        seen.add(v)
-    return VarSet(n, seen)
+def _ints(tokens: Sequence[str]) -> list[int]:
+    """``tokens`` as integers, each ASCII ``[+-]?[0-9]+`` (``int`` alone also
+    reads ``1_0`` and ``'٣'``); the ``ValueError`` names the first that is not."""
+    joined = "".join(tokens)  # unsigned ASCII digits, as in every file, pass in one check
+    if not (joined.isascii() and joined.isdigit() and all(tokens)):
+        for tok in tokens:
+            if not _INT.fullmatch(tok):
+                raise ValueError(f"not an integer: {tok!r}")
+    return list(map(int, tokens))
+
+
+def _parse_vars(tokens: Sequence[str], n: int) -> VarSet:
+    """The set of the variable ids ``tokens``, which must be distinct."""
+    ids = _ints(tokens)
+    vs = VarSet(n, ids)
+    if len(vs) != len(ids):
+        raise ValueError(f"duplicate variable {next(v for v in ids if ids.count(v) > 1)}")
+    return vs
 
 
 # per header kind: the count's letter, its least value, the message head for
@@ -101,11 +103,12 @@ _HEADERS = {
 }
 
 
-def _read_header(text: str, kind: str) -> tuple[int, list[tuple[int, str]]]:
-    """The ``p <kind> <n> <count>`` header's n, and the count content lines
-    that follow it as (line number, line) pairs."""
+def _read_lines(text: str, kind: str, parse_line: Callable[[int, str], object]) -> tuple[int, list]:
+    """The ``p <kind> <n> <count>`` header's n, and ``parse_line(n, line)`` of
+    each of the count lines after it; every error is a ``ParseError`` naming its line."""
     letter, least, bad_sizes, noun = _HEADERS[kind]
-    lines = list(_significant_lines(text))
+    stripped = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    lines = [(lineno, line) for lineno, line in stripped if line and not line.startswith("c")]
     if not lines:
         raise ParseError(1, f"missing 'p {kind} <n> <{letter}>' header")
     lineno, header = lines[0]
@@ -113,29 +116,27 @@ def _read_header(text: str, kind: str) -> tuple[int, list[tuple[int, str]]]:
     if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != kind:
         raise ParseError(lineno, f"malformed header {header!r}")
     try:
-        n, count = int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise ParseError(lineno, f"malformed header {header!r}")
+        n, count = _ints(tokens[2:])
+    except ValueError as exc:
+        raise ParseError(lineno, f"malformed header {header!r}: {exc}") from None
     if n < 1 or count < least:
         raise ParseError(lineno, f"{bad_sizes} {header!r}")
     content = lines[1:]
     if len(content) != count:
         where = content[count][0] if len(content) > count else lineno
         raise ParseError(where, f"expected exactly {count} {noun} lines, got {len(content)}")
-    return n, content
+    parsed = []
+    for lineno, line in content:
+        try:
+            parsed.append(parse_line(n, line))
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    return n, parsed
 
 
 def parse_bodies(text: str) -> tuple[int, list[VarSet]]:
     """Parse a ``.bodies`` instance file; returns (n, bodies in file order)."""
-    n, body_lines = _read_header(text, "keyhorn")
-    bodies = []
-    for bl, line in body_lines:
-        # a significant line holds a token, so the body is never empty
-        body = _parse_vars(bl, line.split(), n)
-        if body.is_full():
-            raise ParseError(bl, "body equals the full variable set")
-        bodies.append(body)
-    return n, bodies
+    return _read_lines(text, "keyhorn", lambda n, line: check_body(_parse_vars(line.split(), n)))
 
 
 def write_bodies(n: int, bodies: Iterable[VarSet], comment: Optional[str] = None) -> str:
@@ -148,21 +149,16 @@ def write_bodies(n: int, bodies: Iterable[VarSet], comment: Optional[str] = None
     return "\n".join(out) + "\n"
 
 
+def _parse_group(n: int, line: str) -> ClauseGroup:
+    if line.count("->") != 1:
+        raise ValueError("expected exactly one '->'")
+    left, right = line.split("->")
+    return ClauseGroup(_parse_vars(left.split(), n), _parse_vars(right.split(), n))
+
+
 def parse_horn(text: str) -> HornCNF:
     """Parse a ``.horn`` formula file; accepts duplicates and canonicalizes."""
-    n, group_lines = _read_header(text, "horn")
-    groups = []
-    for gl, line in group_lines:
-        if line.count("->") != 1:
-            raise ParseError(gl, "expected exactly one '->'")
-        left, right = line.split("->")
-        body = _parse_vars(gl, left.split(), n)
-        heads = _parse_vars(gl, right.split(), n)
-        try:
-            groups.append(ClauseGroup(body, heads))
-        except ValueError as exc:
-            raise ParseError(gl, str(exc))
-    return HornCNF(n, groups)
+    return HornCNF(*_read_lines(text, "horn", _parse_group))
 
 
 def write_horn(phi: HornCNF) -> str:
@@ -377,19 +373,18 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _parse_var_list(text: str, n: int) -> VarSet:
+def _parse_var_list(flag: str, text: str, n: int) -> VarSet:
     try:
-        vals = [int(tok) for tok in text.split()]
-    except ValueError:
-        raise ValueError(f"not a variable list: {text!r}")
-    return VarSet(n, vals)
+        return VarSet(n, _ints(text.split()))
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def cmd_price(args) -> int:
     check_cap("--cap", args.cap)
     n, raw, _head = _load(args)
-    src = _parse_var_list(getattr(args, "from"), n)
-    dst = _parse_var_list(args.to, n)
+    src = _parse_var_list("--from", getattr(args, "from"), n)
+    dst = _parse_var_list("--to", args.to, n)
     out = {"measure": args.measure, "from": sorted(src), "to": sorted(dst)}
     # keep the caller's coordinates: minimal bodies, no remapping
     inst = KeyHornInstance(n, raw)
@@ -420,13 +415,13 @@ def cmd_gen(args) -> int:
     elif args.kind == "hydra":
         edges = []
         for pair in args.edges.split():
-            a, _, b = pair.partition(",")
             try:
-                edges.append((int(a), int(b)))
+                a, b = _ints(pair.split(","))
             except ValueError:
                 raise ValueError(
                     f"--edges pair {pair!r} is not of the form a,b with integers a and b"
                 ) from None
+            edges.append((a, b))
         inst = gen_hydra(edges, args.n)
         text = write_bodies(inst.n, inst.bodies, comment="hydra")
     elif args.kind == "projective":
@@ -445,7 +440,7 @@ def cmd_gen(args) -> int:
         clauses = []
         for raw_clause in args.clause:
             try:
-                clauses.append([int(tok) for tok in raw_clause.split()])
+                clauses.append(_ints(raw_clause.split()))
             except ValueError:
                 raise ValueError(
                     f"--clause {raw_clause!r} is not a list of integer literals such as '1 -2 3'"
@@ -530,6 +525,17 @@ def cmd_mwscs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _IntOption(argparse.Action):
+    """An integer option read by ``_ints``: a bad value raises ``ValueError``
+    out of ``parse_args``, which ``main`` reports in one line."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            setattr(namespace, self.dest, _ints([text])[0])
+        except ValueError as exc:
+            raise ValueError(f"{option_string}: {exc}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="keyhorn",
@@ -554,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--in", dest="infile", required=True)
     ex.add_argument("--measure", required=True, choices=measures)
     ex.add_argument("--out", help="write an optimal witness formula")
-    ex.add_argument("--max-candidates", type=int, default=MAX_CANDIDATES)
+    ex.add_argument("--max-candidates", action=_IntOption, default=MAX_CANDIDATES)
     ex.add_argument("--timeout", type=float, default=None)
 
     bd = sub.add_parser("bounds", help="lower bounds for all measures")
@@ -566,22 +572,22 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--from", required=True)
     pr.add_argument("--to", required=True)
     pr.add_argument("--exact", action="store_true")
-    pr.add_argument("--cap", type=int, default=MAX_BODIES, help="body cap for exact pricing")
+    pr.add_argument("--cap", action=_IntOption, default=MAX_BODIES, help="body cap for exact pricing")
 
     gn = sub.add_parser("gen", help="instance generators")
     gsub = gn.add_subparsers(dest="kind", required=True)
     gr = gsub.add_parser("random")
-    gr.add_argument("--n", type=int, required=True)
-    gr.add_argument("--m", type=int, required=True)
-    gr.add_argument("--k", type=int, required=True)
-    gr.add_argument("--seed", type=int, required=True)
+    gr.add_argument("--n", action=_IntOption, required=True)
+    gr.add_argument("--m", action=_IntOption, required=True)
+    gr.add_argument("--k", action=_IntOption, required=True)
+    gr.add_argument("--seed", action=_IntOption, required=True)
     gr.add_argument("--out")
     gh = gsub.add_parser("hydra")
-    gh.add_argument("--n", type=int, required=True)
+    gh.add_argument("--n", action=_IntOption, required=True)
     gh.add_argument("--edges", required=True, help="e.g. '1,2 2,3 1,3'")
     gh.add_argument("--out")
     gp = gsub.add_parser("projective")
-    gp.add_argument("--d", type=int, required=True)
+    gp.add_argument("--d", action=_IntOption, required=True)
     gp.add_argument("--out")
     gp.add_argument("--cert", help="write the clause-count certificate formula")
     gs = gsub.add_parser("sat3")
@@ -595,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mw = sub.add_parser("mwscs", help="2-approx strongly connected subgraph weight")
     mw.add_argument("--in", dest="infile", required=True)
-    mw.add_argument("--projective-d", type=int, default=None)
+    mw.add_argument("--projective-d", action=_IntOption, default=None)
 
     return p
 
@@ -605,8 +611,8 @@ _PARSER = _build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         # looked up at call time, so a rebound command is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except VerificationError as exc:

@@ -403,6 +403,15 @@ def verify_representation(phi: HornCNF, inst: "KeyHornInstance") -> VerifyResult
     return verify_against_family(phi, inst.n, inst.bodies)
 
 
+def check_body(body: VarSet) -> VarSet:
+    """``body``, if nonempty and not the full set: the one statement of the body rules."""
+    if not body:
+        raise ValueError("bodies must be nonempty")
+    if body.is_full():
+        raise ValueError("no body may equal the full variable set")
+    return body
+
+
 class KeyHornInstance:
     """The key Horn function of a body family over {1, ..., n}, with cached
     size statistics.
@@ -421,12 +430,9 @@ class KeyHornInstance:
         fam = set(bodies)
         if not fam:
             raise ValueError("body family must be nonempty")
-        if not all(fam):
-            raise ValueError("bodies must be nonempty")
-        if any(b.is_full() for b in fam):
-            raise ValueError("no body may equal the full variable set")
         # before sorting, whose comparator would name only two universe sizes
         for b in fam:
+            check_body(b)
             if b.n != n:
                 raise UniverseMismatchError(f"body over universe {b.n}, instance over {n}")
         fam = canonical_sorted(fam)

@@ -26,7 +26,7 @@ class GenerationError(ValueError):
 
 
 def _normalized(n: int, bodies: list[VarSet]) -> KeyHornInstance:
-    """``normalize``'s instance; a single-body family is a :class:`GenerationError`."""
+    """``normalize``'s instance; a family it refuses is a :class:`GenerationError`."""
     try:
         return normalize(n, bodies)[0]
     except TrivialInstance as exc:
@@ -34,6 +34,8 @@ def _normalized(n: int, bodies: list[VarSet]) -> KeyHornInstance:
             f"{exc}; 'gen' emits normalized families, and a single-body family "
             "normalizes to no variables"
         ) from exc
+    except ValueError as exc:
+        raise GenerationError(str(exc)) from exc
 
 
 def gen_random(n: int, m: int, k: int, seed: int) -> KeyHornInstance:
@@ -90,12 +92,7 @@ def gen_hydra(edges: Iterable[tuple[int, int]], n: int) -> KeyHornInstance:
     for a, b in edges:
         if a == b:
             raise GenerationError(f"self-loop {a}-{b} is not a body")
-        body = VarSet(n, (a, b))
-        if body.is_full():
-            raise GenerationError(f"edge {a}-{b} covers the whole universe")
-        bodies.append(body)
-    if not bodies:
-        raise GenerationError("edge set must be nonempty")
+        bodies.append(VarSet(n, (a, b)))
     return _normalized(n, bodies)
 
 

@@ -27,7 +27,6 @@ from keyhorn import (
     measure_size,
     min_in_arborescence,
     minimize,
-    minimize_all,
     mwscs_2approx,
     normalize,
     opt_exact_all,
@@ -35,6 +34,7 @@ from keyhorn import (
     verify_against_family,
     verify_representation,
 )
+from keyhorn.approx import CandidateTable
 from keyhorn.cli import main, write_bodies
 from keyhorn.core import _Propagator
 from keyhorn.exact import MAX_CANDIDATES
@@ -71,11 +71,11 @@ def test_criterion_1_oracle_guarantee_suite():
     worst = {mu: Fraction(0) for mu in MEASURES}
     for inst in instances:
         opts = opt_exact_all(inst)
-        results = minimize_all(inst)
+        table = CandidateTable(inst)
         for mu in MEASURES:
             opt = opts[mu]
             assert opt.optimal, "oracle must terminate with a certified optimum"
-            size = results[mu].size
+            size = table.best(mu).size
             assert size >= opt.size
             factor = guarantee_factor(inst, mu)
             # size / opt <= factor, cross-multiplied
@@ -131,12 +131,12 @@ def test_criterion_3_triangle_regression():
         Measure.L: 9,
     }
     opts = opt_exact_all(tri)
-    results = minimize_all(tri)
+    table = CandidateTable(tri)
     for mu, want in expected.items():
         assert opts[mu].size == want, f"oracle optimum for {mu}"
-        assert results[mu].size == want, f"tool output for {mu}"
+        assert table.best(mu).size == want, f"tool output for {mu}"
     # the literal bound n*(delta+1) = 9 is met exactly
-    assert results[Measure.L].lower_bound == 9
+    assert table.best(Measure.L).lower_bound == 9
     elapsed = time.perf_counter() - t0
     print(f"\nACCEPTANCE 3 (triangle regression, {elapsed:.2f}s): PASS")
 

@@ -15,7 +15,6 @@ from keyhorn import (
     lower_bound_partition_c,
     measure_size,
     minimize,
-    minimize_all,
     opt_exact_all,
     procedure1,
     procedure2,
@@ -57,6 +56,10 @@ class TestLowerBounds:
         assert lower_bound_partition_c(two) == 4
         near = KeyHornInstance(3, [VarSet(3, [1, 2]), VarSet(3, [2, 3])])
         assert lower_bound_partition_c(near) == 2
+
+    def test_unknown_measure(self):
+        with pytest.raises(ValueError, match=r"^unknown measure 'C'$"):
+            lower_bound(TRIANGLE, "C")
 
     def test_partition_needs_two_bodies(self):
         single = KeyHornInstance(2, [VarSet(2, [1])])
@@ -175,17 +178,6 @@ class TestMinimize:
             # any verified representation defines the same function
             assert equivalent(minimize(inst, Measure.C).formula, canonical)
 
-    def test_minimize_all_matches_minimize(self):
-        for inst in random_instances(30, 6600):
-            allres = minimize_all(inst)
-            for mu in MEASURES:
-                single = minimize(inst, mu)
-                combined = allres[mu]
-                assert combined.size == single.size
-                assert combined.strategy == single.strategy
-                assert combined.lower_bound == single.lower_bound
-                assert combined.formula == single.formula
-
     def test_best_of_never_worse_than_candidates(self):
         for inst in random_instances(30, 7700):
             for mu in (Measure.C, Measure.BC):
@@ -211,7 +203,9 @@ class TestCandidateTable:
         calls = {name: counting(monkeypatch, approx, name) for name in names}
         builds = c_graph_builds(monkeypatch)
         inst, fresh = random_instances(2, 3300)
-        minimize_all(inst)
+        table = approx.CandidateTable(inst)
+        for mu in MEASURES:
+            table.best(mu)
         for name in ("hamiltonian_formula", "procedure1", "procedure2"):
             assert len(calls[name]) == 1
         # once, for the table's C bound

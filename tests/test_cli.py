@@ -39,6 +39,44 @@ TRIANGLE_TEXT = "c triangle\np keyhorn 3 3\n1 2\n2 3\n1 3\n"
 SEED9_TEXT = "p keyhorn 8 6\n1 4 5\n2 5\n4 6\n3 5\n3 4\n1 2 3\n"
 
 
+# tokens that ``int`` reads but the file formats and options do not
+ODD_INTS = {"underscore": "1_0", "arabic-indic": "٣", "fullwidth": "１"}
+# each place an integer is read, with a bad token ``{tok}`` there and the one
+# error line it gives; the text after --in or --formula is the file's content
+ODD_INT_SITES = {
+    "bodies-line": (["bounds", "--in", "p keyhorn 3 2\n1 2\n{tok} 1\n"],
+                    "line 3: not an integer: {tok!r}"),
+    "horn-line": (["verify", "--in", TRIANGLE_TEXT, "--formula", "p horn 3 1\n1 -> {tok}\n"],
+                  "line 2: not an integer: {tok!r}"),
+    "bodies-header": (["bounds", "--in", "p keyhorn {tok} 1\n1\n"],
+                      "line 1: malformed header 'p keyhorn {tok} 1': not an integer: {tok!r}"),
+    "horn-header": (["verify", "--in", TRIANGLE_TEXT, "--formula", "p horn 3 {tok}\n"],
+                    "line 1: malformed header 'p horn 3 {tok}': not an integer: {tok!r}"),
+    "price-from": (["price", "--in", TRIANGLE_TEXT, "--measure", "C", "--from", "1 {tok}", "--to", "3"],
+                   "--from: not an integer: {tok!r}"),
+    "gen-edges": (["gen", "hydra", "--n", "3", "--edges", "1,2 2,{tok}"],
+                  "--edges pair '2,{tok}' is not of the form a,b with integers a and b"),
+    "gen-clause": (["gen", "sat3", "--clause", "1 {tok} 2"],
+                   "--clause '1 {tok} 2' is not a list of integer literals such as '1 -2 3'"),
+    "max-candidates": (["exact", "--in", TRIANGLE_TEXT, "--measure", "C", "--max-candidates", "{tok}"],
+                       "--max-candidates: not an integer: {tok!r}"),
+    "cap": (["price", "--in", TRIANGLE_TEXT, "--measure", "L", "--from", "1 2", "--to", "3", "--cap", "{tok}"],
+            "--cap: not an integer: {tok!r}"),
+    "random-n": (["gen", "random", "--n", "{tok}", "--m", "2", "--k", "2", "--seed", "1"],
+                 "--n: not an integer: {tok!r}"),
+    "random-m": (["gen", "random", "--n", "5", "--m", "{tok}", "--k", "2", "--seed", "1"],
+                 "--m: not an integer: {tok!r}"),
+    "random-k": (["gen", "random", "--n", "5", "--m", "2", "--k", "{tok}", "--seed", "1"],
+                 "--k: not an integer: {tok!r}"),
+    "random-seed": (["gen", "random", "--n", "5", "--m", "2", "--k", "2", "--seed", "{tok}"],
+                    "--seed: not an integer: {tok!r}"),
+    "hydra-n": (["gen", "hydra", "--n", "{tok}", "--edges", "1,2"], "--n: not an integer: {tok!r}"),
+    "projective-d": (["gen", "projective", "--d", "{tok}"], "--d: not an integer: {tok!r}"),
+    "mwscs-projective-d": (["mwscs", "--in", TRIANGLE_TEXT, "--projective-d", "{tok}"],
+                           "--projective-d: not an integer: {tok!r}"),
+}
+
+
 @pytest.fixture
 def tri_file(tmp_path):
     p = tmp_path / "tri.bodies"
@@ -594,12 +632,22 @@ class TestOtherCommands:
              "degenerate parameters n=5 m=2 k=0"),
             (["gen", "random", "--n", "2", "--m", "2", "--k", "2", "--seed", "1"],
              "no legal body sizes for n=2, k=2"),
-            (["gen", "hydra", "--n", "3", "--edges", ""], "edge set must be nonempty"),
+            (["gen", "hydra", "--n", "3", "--edges", ""], "body family must be nonempty"),
+            (["gen", "hydra", "--n", "2", "--edges", "1,2"], "no body may equal the full variable set"),
+            (["verify", "--in", "p keyhorn 3 2\n1 2\n1 2 3\n", "--formula", "p horn 3 0\n"],
+             "line 3: no body may equal the full variable set"),
+        ]
+        + [
+            ([a.format(tok=tok) for a in argv], message.format(tok=tok))
+            for argv, message in ODD_INT_SITES.values()
+            for tok in ODD_INTS.values()
         ],
         ids=[
             "comment-only", "empty-file", "keyhorn-n0", "keyhorn-m0", "horn-n0", "horn-g-1",
             "random-n1", "random-m0", "random-k0", "random-no-sizes", "hydra-no-edges",
-        ],
+            "hydra-full-edge", "full-body",
+        ]
+        + [f"{site}-{kind}" for site in ODD_INT_SITES for kind in ODD_INTS],
     )
     def test_input_errors_exit_2_in_one_line(self, tmp_path, capsys, argv, message):
         # the text after --in or --formula is the file's content
@@ -607,7 +655,7 @@ class TestOtherCommands:
         for i, flag in enumerate(argv[:-1]):
             if flag in ("--in", "--formula"):
                 path = tmp_path / flag.lstrip("-")
-                path.write_text(argv[i + 1])
+                path.write_text(argv[i + 1], encoding="utf-8")
                 argv[i + 1] = str(path)
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -773,7 +821,8 @@ SEED_HORN = (
     "p horn 3 0\n",
 )
 TOKENS = st.sampled_from(
-    ("0", "1", "2", "3", "5", "-1", "100000", "x", "1.5", "->", "p", "c", "keyhorn", "horn", "")
+    ("0", "1", "2", "3", "5", "-1", "100000", "x", "1.5", "->", "p", "c", "keyhorn", "horn", "",
+     *ODD_INTS.values())
 ) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
 
 
@@ -797,7 +846,8 @@ def test_shifted_size_skips_sizes_int_cannot_read():
 @st.composite
 def mutated(draw, seeds) -> str:
     """A seed file with up to four edits: a token replaced, a header size
-    moved, a line dropped or doubled, or an arrow added or removed."""
+    moved or replaced by one of ``ODD_INTS``, a line dropped or doubled, or
+    an arrow added or removed."""
     lines = draw(st.sampled_from(seeds)).splitlines()
     for _ in range(draw(st.integers(0, 4))):
         if not lines:
@@ -809,8 +859,14 @@ def mutated(draw, seeds) -> str:
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(TOKENS)
             lines[i] = " ".join(tokens)
         elif edit == "size":
-            pos, delta = draw(st.sampled_from((2, 3))), draw(st.integers(-2, 2))
-            lines[0] = shifted_size(lines[0], pos, delta)
+            pos = draw(st.sampled_from((2, 3)))
+            change = draw(st.integers(-2, 2) | st.sampled_from(tuple(ODD_INTS.values())))
+            if isinstance(change, str):
+                head = lines[0].split()
+                head[pos : pos + 1] = [change]
+                lines[0] = " ".join(head)
+            else:
+                lines[0] = shifted_size(lines[0], pos, change)
         elif edit == "drop":
             del lines[i]
         elif edit == "double":
@@ -824,9 +880,22 @@ def mutated(draw, seeds) -> str:
     return "\n".join(lines) + "\n"
 
 
+def holds_odd_int(text: str) -> bool:
+    """Whether a line of ``text`` that is not a comment has a token of
+    ``ODD_INTS``; every such line is read, so the file cannot parse."""
+    lines = (raw.strip() for raw in text.splitlines())
+    return any(
+        tok in ODD_INTS.values()
+        for line in lines
+        if line and not line.startswith("c")
+        for tok in line.split()
+    )
+
+
 class TestMutatedInputs:
     """Every command on malformed or odd files ends with exit 0, 2 or 3 and
-    never raises."""
+    never raises; one holding a token of ``ODD_INTS`` that it reads ends
+    with exit 2 and one error line."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -855,3 +924,7 @@ class TestMutatedInputs:
                     code = main([argv[0], "--in", str(bodies), *argv[1:]])
                 assert code in (0, 2, 3), (argv, code)
                 assert "Traceback" not in err.getvalue()
+                if holds_odd_int(bodies_text) or argv[0] == "verify" and holds_odd_int(horn_text):
+                    assert code == 2, (argv, code)
+                    assert err.getvalue().startswith("keyhorn: error: ")
+                    assert err.getvalue().count("\n") == 1

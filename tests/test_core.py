@@ -156,6 +156,24 @@ class TestVarSet:
                 assert want == got
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: VarSet(-1), "universe size must be nonnegative, got -1"),
+        (lambda: VarSet.from_mask(3, 0b1000), "mask has bits outside universe 1..3"),
+        (lambda: VarSet.from_mask(3, -1), "mask has bits outside universe 1..3"),
+        (lambda: HornCNF(3, [ClauseGroup(VarSet(4, [1]), VarSet(4, [2]))]),
+         "group over universe 4, formula over 3"),
+        (lambda: measure_size(HornCNF(3), "C"), "unknown measure 'C'"),
+    ],
+    ids=["negative-n", "mask-above-n", "negative-mask", "foreign-group", "unknown-measure"],
+)
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestClauseGroup:
     def test_invariants(self):
         with pytest.raises(ValueError):

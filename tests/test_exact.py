@@ -129,6 +129,11 @@ class TestPriceLExact:
         with pytest.raises(NoBodyInSourceError):
             price_l_exact(TRIANGLE, VarSet(3, [1]), VarSet(3, [2]))
 
+    @pytest.mark.parametrize("price", [price_l_exact, lambda_formula])
+    def test_sets_over_another_universe(self, price):
+        with pytest.raises(ValueError, match="^source/target universe does not match the instance$"):
+            price(TRIANGLE, VarSet(4, [1, 2]), VarSet(4, [4]))
+
     def test_cap(self):
         inst = KeyHornInstance(6, [VarSet(6, [i]) for i in range(1, 6)])
         with pytest.raises(SearchLimitError):

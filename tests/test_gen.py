@@ -191,6 +191,10 @@ class TestGenProjective:
 
 
 class TestGenSatReduction:
+    def test_no_clauses(self):
+        with pytest.raises(GenerationError, match="^formula must have at least one clause$"):
+            gen_sat_reduction([])
+
     def test_minimal_parameters(self):
         r = gen_sat_reduction([(1, 2, 3)])
         assert (r.alpha, r.beta, r.tau) == (98, 341, 542_734)

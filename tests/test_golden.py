@@ -13,7 +13,7 @@ from keyhorn.cli import main, parse_bodies, write_bodies, write_horn
 
 GOLDEN_SHA256 = "f54973c7b2ad2ef75b1c0ec9cd438f6f60fdc075408718f532c1cd85060004e0"
 GOLDEN_WITNESS_SHA256 = "e6d0ff7ee8609cb0c00505eeca8454ebece9bd5dc3772eea4ca97c216f096cc7"
-GOLDEN_OTHER_SHA256 = "62b81288f1bfea0ab085849935045adce28a6e641bd9fe346458b54313b40c2b"
+GOLDEN_OTHER_SHA256 = "2846813f2e3588d1bddd296e27929751b691ac57fbae26401ea031a79d6b307d"
 
 STRATEGIES = ("auto", "hamiltonian", "procedure1", "procedure2")
 

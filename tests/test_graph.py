@@ -386,6 +386,20 @@ class TestBodyGraphLMatchesReference:
 
 
 class TestMinInArborescence:
+    @pytest.mark.parametrize(
+        "g, root, message",
+        [
+            (BodyGraph((), ()), None, "graph has no nodes"),
+            (graph_of([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), 3, "root 3 out of range 0..2"),
+            (graph_of([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), -1, "root -1 out of range 0..2"),
+        ],
+        ids=["empty", "root-above", "root-below"],
+    )
+    def test_argument_checks(self, g, root, message):
+        with pytest.raises(ValueError) as exc:
+            min_in_arborescence(g, root)
+        assert str(exc.value) == message
+
     def test_uniform_weights(self):
         w = [[0 if i == j else 4 for j in range(4)] for i in range(4)]
         assert arborescence_weight(min_in_arborescence(graph_of(w)), graph_of(w)) == 12

@@ -6,6 +6,7 @@ from keyhorn import (
     ClauseGroup,
     HornCNF,
     KeyHornInstance,
+    MEASURES,
     Measure,
     TrivialInstance,
     UniverseMismatchError,
@@ -15,10 +16,10 @@ from keyhorn import (
     lift,
     measure_size,
     minimize,
-    minimize_all,
     normalize,
     verify_against_family,
 )
+from keyhorn.approx import CandidateTable
 
 from helpers import random_raw_family, ref_lift
 
@@ -217,7 +218,8 @@ class TestLift:
             n, fam = raw_family_with_core(rng)
             try:
                 inst, rec = normalize(n, fam)
-                formulas = [HornCNF(inst.n)] + [r.formula for r in minimize_all(inst).values()]
+                table = CandidateTable(inst)
+                formulas = [HornCNF(inst.n)] + [table.best(mu).formula for mu in MEASURES]
             except TrivialInstance as triv:
                 rec, formulas = triv.record, [HornCNF(0)]
                 seen["trivial"] += 1
@@ -248,7 +250,8 @@ class TestLift:
             by_element = [VarSet(inst.n, (pos[v] for v in b if v in pos)) for b in minimal]
             assert inst.bodies == KeyHornInstance(inst.n, by_element).bodies
             canonical = HornCNF(inst.n, [ClauseGroup(b, b.complement()) for b in inst.bodies])
-            for phi in [canonical] + [r.formula for r in minimize_all(inst).values()]:
+            table = CandidateTable(inst)
+            for phi in [canonical] + [table.best(mu).formula for mu in MEASURES]:
                 assert lift(phi, rec) == ref_lift(phi, rec, fam)
 
     def test_lifted_sizes_account_for_core_and_uncovered(self):
